@@ -1,4 +1,5 @@
 open Ssj_prob
+open Ssj_model
 open Ssj_stream
 open Ssj_core
 open Ssj_workload
@@ -31,8 +32,14 @@ let window case =
    tally stays a meaningful signal on shrunk cases. *)
 let warmup case = min (length case / 2) (4 * case.capacity)
 
-let policy_names = [ "RAND"; "PROB"; "LIFE"; "HEEB" ]
+let policy_names = [ "RAND"; "PROB"; "LIFE"; "HEEB"; "HEEB-W" ]
 let tower = Config.tower ()
+
+(* HEEB-W's model: a stationary law over the case generator's value
+   domain −8..8, peaked at 0 so scores differ by value as well as by
+   remaining lifetime. *)
+let heeb_w_law =
+  Pmf.of_assoc (List.init 17 (fun i -> (i - 8, float_of_int (9 - abs (i - 8)))))
 
 let policy case =
   match case.policy with
@@ -50,6 +57,11 @@ let policy case =
     Heeb.joining ~r ~s
       ~l:(Lfun.exp_ ~alpha:(Config.alpha tower))
       ~mode:`Direct ()
+  | "HEEB-W" ->
+    let model () = Stationary.create ~time:(-1) heeb_w_law in
+    Sliding.heeb ~r:(model ()) ~s:(model ()) ~alpha:3.0
+      ~window:(Option.value (window case) ~default:Window.unbounded)
+      ()
   | other -> invalid_arg (Printf.sprintf "Case.policy: unknown policy %S" other)
 
 let pp ppf case =

@@ -28,10 +28,12 @@ val warmup : t -> int
     cases keep a non-trivial counted tally. *)
 
 val policy_names : string list
-(** ["RAND"; "PROB"; "LIFE"; "HEEB"] — the registry {!policy} accepts.
-    LIFE is window-aware when the case has a window ([Of_window]) and
-    uses the TOWER trend lifetime otherwise; HEEB runs in [`Direct]
-    mode over the TOWER predictors. *)
+(** ["RAND"; "PROB"; "LIFE"; "HEEB"; "HEEB-W"] — the registry {!policy}
+    accepts.  LIFE is window-aware when the case has a window
+    ([Of_window]) and uses the TOWER trend lifetime otherwise; HEEB runs
+    in [`Direct] mode over the TOWER predictors; HEEB-W is windowed HEEB
+    ([α = 3]) over a stationary law on the generator's value domain
+    −8..8, with the case's window or {!Ssj_stream.Window.unbounded}. *)
 
 val policy : t -> Ssj_core.Policy.join
 (** Fresh policy instance for the case's recipe.  Raises

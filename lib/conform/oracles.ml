@@ -12,7 +12,9 @@ open Ssj_workload
    Deterministic in (seed, index) so failures are addressable. *)
 let gen_case ?(force_band = false) ?(allow_window = true) ~seed i =
   let rng = Rng.create (seed + (7919 * i)) in
-  let policy = List.nth Case.policy_names (Rng.int rng 4) in
+  let policy =
+    List.nth Case.policy_names (Rng.int rng (List.length Case.policy_names))
+  in
   let len = 4 + Rng.int rng 37 in
   let values () = Array.init len (fun _ -> Rng.int rng 17 - 8) in
   let band =

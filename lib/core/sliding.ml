@@ -1,8 +1,51 @@
+open Ssj_prob
 open Ssj_stream
 open Ssj_model
 
-let heeb ?name ~r ~s ~alpha ~window () =
+(* Windowed HEEB scores a candidate with L_exp(α) truncated at its
+   remaining window lifetime — Hvalue.joining with Lfun.windowed, minus
+   the per-candidate work.  L_exp's weights are fixed, so they are
+   tabulated once up to hmax = min(horizon, width); a tuple that arrived
+   at or before [now] never has more than [width] steps left.  The
+   partner laws depend only on the predictors, so they are tabulated once
+   per step for both sides; a score is then one Pmf.discounted_at sweep
+   over the partner's table, in Hvalue.joining's summation order. *)
+type scorer = {
+  width : int;
+  hmax : int;
+  weights : float array;  (* weights.(d) = L_exp(d), d = 1..hmax *)
+  r_laws : Pmf.t array;  (* r_laws.(d) = R's law at Δt = d, d = 1..hmax *)
+  s_laws : Pmf.t array;
+}
+
+let scorer ~alpha ~window =
   let base = Lfun.exp_ ~alpha in
+  let width = Window.width window in
+  let hmax = max 0 (min base.Lfun.horizon width) in
+  {
+    width;
+    hmax;
+    weights = Array.init (hmax + 1) base.Lfun.l;
+    r_laws = Array.make (hmax + 1) (Pmf.point 0);
+    s_laws = Array.make (hmax + 1) (Pmf.point 0);
+  }
+
+let refresh sc ~r ~s =
+  for d = 1 to sc.hmax do
+    sc.r_laws.(d) <- r.Predictor.pmf d;
+    sc.s_laws.(d) <- s.Predictor.pmf d
+  done
+
+let score sc ~now ~uid ~value =
+  let remaining = (uid asr 1) + sc.width - now in
+  if remaining <= 0 then Float.neg_infinity
+  else
+    Pmf.discounted_at
+      (if uid land 1 = 0 then sc.s_laws else sc.r_laws)
+      ~weights:sc.weights ~upto:(min sc.hmax remaining) value
+
+let heeb ?name ~r ~s ~alpha ~window () =
+  let sc = scorer ~alpha ~window in
   let r_pred = ref r and s_pred = ref s in
   let sel = Policy.selector () in
   let name =
@@ -10,28 +53,42 @@ let heeb ?name ~r ~s ~alpha ~window () =
     | Some n -> n
     | None -> Printf.sprintf "HEEB-W(a=%.3g,w=%d)" alpha (Window.width window)
   in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.Tuple.side with
-        | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
-        | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value)
-      arrivals;
-    let score (t : Tuple.t) =
-      let remaining = Window.remaining_lifetime window ~now t in
-      if remaining <= 0 then Float.neg_infinity
-      else begin
-        let l = Lfun.windowed base ~remaining in
-        let partner =
-          match t.Tuple.side with Tuple.R -> !s_pred | Tuple.S -> !r_pred
-        in
-        Hvalue.joining ~partner ~l ~value:t.Tuple.value
-      end
-    in
-    Policy.select_top sel ~capacity ~score ~tie:Policy.newer_first ~cached
-      ~arrivals
+  let observe (t : Tuple.t) =
+    match t.Tuple.side with
+    | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
+    | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value
   in
-  Policy.make_join ~name select
+  let select ~now ~cached ~arrivals ~capacity =
+    List.iter observe arrivals;
+    refresh sc ~r:!r_pred ~s:!s_pred;
+    Policy.select_top sel ~capacity
+      ~score:(fun (t : Tuple.t) ->
+        score sc ~now ~uid:t.Tuple.uid ~value:t.Tuple.value)
+      ~tie:Policy.newer_first ~cached ~arrivals
+  in
+  let fast ~src ~dst ~now ~r ~s ~capacity =
+    observe r;
+    observe s;
+    if capacity <= 0 then Policy.clear dst
+    else begin
+      refresh sc ~r:!r_pred ~s:!s_pred;
+      let n0 = src.Policy.n in
+      let scores, uids = Policy.scratch sel (n0 + 2) in
+      let su = src.Policy.uids and sv = src.Policy.values in
+      for i = 0 to n0 - 1 do
+        let u = Array.unsafe_get su i in
+        Array.unsafe_set uids i u;
+        Array.unsafe_set scores i
+          (score sc ~now ~uid:u ~value:(Array.unsafe_get sv i))
+      done;
+      uids.(n0) <- r.Tuple.uid;
+      scores.(n0) <- score sc ~now ~uid:r.Tuple.uid ~value:r.Tuple.value;
+      uids.(n0 + 1) <- s.Tuple.uid;
+      scores.(n0 + 1) <- score sc ~now ~uid:s.Tuple.uid ~value:s.Tuple.value;
+      Policy.select_prescored sel ~capacity ~src ~dst r s
+    end
+  in
+  Policy.make_join ~name ~fast select
 
 let stationary_score ~alpha ~p ~remaining_lifetime =
   if remaining_lifetime <= 0 then 0.0

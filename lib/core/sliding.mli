@@ -16,7 +16,36 @@ val heeb :
   unit ->
   Policy.join
 (** Windowed HEEB for the joining problem: each candidate is scored with
-    [L_exp(α)] truncated at its remaining window lifetime. *)
+    [L_exp(α)] truncated at its remaining window lifetime.  Both [select]
+    and the array-native [fast] path score through {!score}, so the two
+    decide identically. *)
+
+(** {2 The windowed-HEEB score}
+
+    The one scoring function behind {!heeb}, exposed so it can be checked
+    against its definition.  For a candidate with remaining lifetime
+    [remaining = arrival + width − now > 0] against partner predictor [P],
+    {!score} is bit-identical to
+    [Hvalue.joining ~partner:P ~l:(Lfun.windowed (Lfun.exp_ ~alpha)
+    ~remaining)]; an expired candidate scores [neg_infinity].  Candidates
+    must have arrived at or before [now] (as every engine guarantees), so
+    [remaining ≤ width]. *)
+
+type scorer
+(** [L_exp(α)] weights tabulated once up to [min(horizon, width)], and
+    each side's table of predicted laws over the same range. *)
+
+val scorer : alpha:float -> window:Ssj_stream.Window.t -> scorer
+
+val refresh :
+  scorer -> r:Ssj_model.Predictor.t -> s:Ssj_model.Predictor.t -> unit
+(** Re-tabulate both sides' laws [pmf d] from the current predictors;
+    called once per step, after the step's arrivals are observed. *)
+
+val score : scorer -> now:int -> uid:int -> value:int -> float
+(** Score of the tuple with this uid ([2·arrival + side], side R = 0) and
+    value, against the partner side's laws from the last {!refresh}.
+    Allocates only the returned float. *)
 
 val stationary_score :
   alpha:float -> p:float -> remaining_lifetime:int -> float

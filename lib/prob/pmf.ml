@@ -235,6 +235,18 @@ let add_into t ~dst ~lo:dlo ~scale =
       (Array.unsafe_get dst i +. (scale *. Array.unsafe_get t.probs (v - t.lo)))
   done
 
+let discounted_at laws ~weights ~upto v =
+  let acc = ref 0.0 in
+  for d = 1 to upto do
+    let t = Array.unsafe_get laws d in
+    let i = v - t.lo in
+    if i >= 0 && i < Array.length t.probs then begin
+      let p = Array.unsafe_get t.probs i in
+      if p > 0.0 then acc := !acc +. (p *. Array.unsafe_get weights d)
+    end
+  done;
+  !acc
+
 let equal ?(eps = 1e-9) a b =
   let l = min a.lo b.lo and h = max (hi a) (hi b) in
   let rec check v =

@@ -102,11 +102,24 @@ let tower_trace length seed =
    Fresh policy instances with the same seed draw the same randomness,
    so both executions must produce identical counts.  Capacity 1 keeps
    the candidate set above twice the capacity, covering the heap
-   selection and the index's whole-buffer rescan. *)
+   selection and the index's whole-buffer rescan.  The window row adds
+   windowed HEEB over the TOWER predictors, whose per-step law table
+   varies with Δt. *)
 let test_fast_matches_list () =
   let trace = tower_trace 400 5 in
+  let windowed_heeb window () =
+    let r, s = Config.predictors tower in
+    Sliding.heeb ~r ~s ~alpha:(Config.alpha tower) ~window ()
+  in
   List.iter
     (fun (capacity, window, band) ->
+      let lineup =
+        Factory.trend_policies tower ~seed:11 ()
+        @
+        match window with
+        | Some w -> [ ("HEEB-W", windowed_heeb w) ]
+        | None -> []
+      in
       List.iter
         (fun (name, mk) ->
           let run validate =
@@ -122,7 +135,7 @@ let test_fast_matches_list () =
             fast.Join_sim.total_results;
           check_int (label ^ " counted") slow.Join_sim.counted_results
             fast.Join_sim.counted_results)
-        (Factory.trend_policies tower ~seed:11 ()))
+        lineup)
     [
       (10, None, 0);
       (1, None, 0);

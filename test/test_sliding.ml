@@ -96,11 +96,19 @@ let test_qcheck_windowed_run =
       and s = Array.of_list (List.map snd steps) in
       let window = Window.create ~width in
       let warmup = Array.length r / 3 in
+      let domain =
+        Pmf.of_assoc (List.init 13 (fun i -> (i - 6, float_of_int (i + 1))))
+      in
       let policies =
         [
           (fun () -> Baselines.prob ());
           (fun () ->
             Baselines.life ~lifetime:(Baselines.Of_window { width }) ());
+          (fun () ->
+            Sliding.heeb
+              ~r:(Stationary.create ~time:(-1) domain)
+              ~s:(Stationary.create ~time:(-1) domain)
+              ~alpha:3.0 ~window ());
         ]
       in
       List.for_all
@@ -159,6 +167,42 @@ let test_qcheck_windowed_ecb =
         (h -. Sliding.stationary_score ~alpha ~p ~remaining_lifetime:remaining)
       < 1e-9)
 
+let test_qcheck_score_oracle =
+  (* The one score behind windowed HEEB's select and fast paths, against
+     its definition: H with L_exp truncated at the remaining lifetime.
+     Bit-equal, not within a tolerance.  R candidates score against a
+     linear-trend partner (laws move with Δt), S candidates against a
+     stationary one; [remaining] runs from expired to past the L_exp
+     horizon. *)
+  let noise = Pmf.of_assoc [ (-1, 0.25); (0, 0.5); (1, 0.25) ] in
+  let stationary =
+    Pmf.of_assoc (List.init 9 (fun i -> (i, float_of_int (9 - i))))
+  in
+  qcheck ~count:300 "windowed-HEEB score = H with windowed L_exp (bit-equal)"
+    QCheck2.Gen.(
+      quad (float_range 0.5 6.0) (int_range 0 40) (int_range (-2) 120)
+        (pair bool (int_range (-3) 60)))
+    (fun (alpha, t0, extra, (side_r, value)) ->
+      let base = Lfun.exp_ ~alpha in
+      let width = base.Lfun.horizon + 20 in
+      let remaining =
+        if extra > 100 then base.Lfun.horizon + extra - 100 else extra
+      in
+      let s_pred = Linear_trend.linear ~time:t0 ~speed:1 ~offset:0 ~noise () in
+      let r_pred = Stationary.create ~time:t0 stationary in
+      let sc = Sliding.scorer ~alpha ~window:(Window.create ~width) in
+      Sliding.refresh sc ~r:r_pred ~s:s_pred;
+      (* arrival 0, so remaining = width − now, and now ≥ 0 *)
+      let now = width - remaining in
+      let uid = if side_r then 0 else 1 in
+      let partner = if side_r then s_pred else r_pred in
+      let got = Sliding.score sc ~now ~uid ~value in
+      let want =
+        Hvalue.joining ~partner ~l:(Lfun.windowed base ~remaining) ~value
+      in
+      if remaining <= 0 then got = Float.neg_infinity && Float.equal want 0.0
+      else Float.equal got want)
+
 let suite =
   [
     Alcotest.test_case "Section 7 ranking" `Quick test_section7_ranking;
@@ -170,6 +214,7 @@ let suite =
     Alcotest.test_case "windowed ECB/H consistency" `Quick
       test_windowed_ecb_consistency;
     test_qcheck_windowed_run;
+    test_qcheck_score_oracle;
     test_qcheck_stationary_score;
     test_qcheck_windowed_ecb;
   ]
