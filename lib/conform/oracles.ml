@@ -43,12 +43,14 @@ let describe_counts fast slow =
 
 (* --- Join_sim vs list-scan reference -------------------------------- *)
 
-let join_sim_violation ~validate case =
+let join_sim_violation ~lifted case =
   let slow = Ref_sim.run_case case in
+  let policy = Case.policy case in
   let fast =
-    Join_sim.run ~trace:(Case.trace case) ~policy:(Case.policy case)
+    Join_sim.run ~trace:(Case.trace case)
+      ~policy:(if lifted then { policy with Policy.fast = None } else policy)
       ~capacity:case.Case.capacity ~warmup:(Case.warmup case)
-      ?window:(Case.window case) ~band:case.Case.band ~validate ()
+      ?window:(Case.window case) ~band:case.Case.band ~validate:lifted ()
   in
   if
     fast.Join_sim.total_results = slow.Ref_sim.total_results
@@ -60,14 +62,16 @@ let join_sim_indexed =
   Check.of_violation ~name:"oracle:join-sim/indexed-vs-listscan"
     ~kind:Check.Oracle ~fast:"Join_sim.run (indexed, array-native when available)"
     ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
-    (join_sim_violation ~validate:false)
+    (join_sim_violation ~lifted:false)
 
-let join_sim_list_path =
-  Check.of_violation ~name:"oracle:join-sim/validated-list-vs-listscan"
+(* The same engine loop driven through its [select] adapter ([fast]
+   stripped), with every step's selection and diff validated. *)
+let join_sim_lifted =
+  Check.of_violation ~name:"oracle:join-sim/lifted-validated-vs-listscan"
     ~kind:Check.Oracle
-    ~fast:"Join_sim.run ~validate:true (list path, Join_index counting)"
+    ~fast:"Join_sim.run ~validate:true, fast stripped (select adapter)"
     ~reference:"Ref_sim naive list scan" ~gen:(fun ~seed i -> gen_case ~seed i)
-    (join_sim_violation ~validate:true)
+    (join_sim_violation ~lifted:true)
 
 (* --- keep_top vs keep_top_spec -------------------------------------- *)
 
@@ -103,9 +107,8 @@ let keep_top_check =
         let score (t : Tuple.t) =
           float_of_int (((t.Tuple.value mod modulus) + modulus) mod modulus)
         in
-        let tie = Policy.newer_first in
-        let spec = Policy.keep_top_spec ~capacity ~score ~tie candidates in
-        let fast = Policy.keep_top ~capacity ~score ~tie candidates in
+        let spec = Policy.keep_top_spec ~capacity ~score candidates in
+        let fast = Policy.keep_top ~capacity ~score candidates in
         if not (tuples_equal fast spec) then
           failure :=
             Some
@@ -118,7 +121,7 @@ let keep_top_check =
              List.filteri (fun j _ -> j >= k) candidates)
           in
           let merged =
-            Policy.select_top sel ~capacity ~score ~tie ~cached ~arrivals
+            Policy.select_top sel ~capacity ~score ~cached ~arrivals
           in
           if not (tuples_equal merged spec) then
             failure :=
@@ -445,7 +448,7 @@ let mcmf_check =
 let all =
   [
     join_sim_indexed;
-    join_sim_list_path;
+    join_sim_lifted;
     keep_top_check;
     flow_expect_check;
     h1_check;

@@ -4,8 +4,10 @@
     - [oracle:join-sim/indexed-vs-listscan] — the engine's default run
       (array-native fast path + incremental {!Ssj_engine.Join_index})
       vs the naive list-scan simulator {!Ref_sim}; shrinkable.
-    - [oracle:join-sim/validated-list-vs-listscan] — the engine's
-      validated list path vs the same reference; shrinkable.
+    - [oracle:join-sim/lifted-validated-vs-listscan] — the same engine
+      loop with the policy's [fast] stripped (its [select] runs through
+      the engine's adapter) and every step validated, vs the same
+      reference; shrinkable.
     - [oracle:keep-top/bounded-vs-sort] — bounded selection
       ([keep_top], [select_top]) vs the full-stable-sort spec.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started

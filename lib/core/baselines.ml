@@ -13,16 +13,26 @@ type lifetime =
       (** Sliding window: remaining = arrival + width − now. *)
   | Fn of (now:int -> Tuple.t -> int)
 
-let remaining lt ~now (t : Tuple.t) =
+(* [remaining] on the uid/value representation the scoring loops read
+   (uid = 2·arrival + side bit, so the pair carries the whole tuple).
+   Inlined into those loops, so the first-order shapes cost an integer
+   compare or two per candidate instead of a closure call; the shipped
+   trend speed 1 skips the division ([x / 1 = x]). *)
+let[@inline] remaining_uv lt ~now ~uid ~value =
   match lt with
   | Trend { r_add; s_add; speed } ->
-    ((match t.side with
-     | Tuple.R -> t.value + r_add
-     | Tuple.S -> t.value + s_add)
-    / speed)
-    - now
-  | Of_window { width } -> t.arrival + width - now
-  | Fn f -> f ~now t
+    let x = value + if uid land 1 = 0 then r_add else s_add in
+    (if speed = 1 then x else x / speed) - now
+  | Of_window { width } -> (uid asr 1) + width - now
+  | Fn f -> f ~now (Tuple.of_uid ~uid ~value)
+
+let remaining lt ~now (t : Tuple.t) =
+  remaining_uv lt ~now ~uid:t.Tuple.uid ~value:t.Tuple.value
+
+let[@inline] alive lifetime ~now ~uid ~value =
+  match lifetime with
+  | None -> true
+  | Some lt -> remaining_uv lt ~now ~uid ~value > 0
 
 (* History frequency tracker: counts of each value seen per side.  Backed
    by dense counter arrays — stream values follow a trend, so the
@@ -35,257 +45,64 @@ module History = struct
   let create () =
     { r_counts = Ssj_prob.Dtab.create (); s_counts = Ssj_prob.Dtab.create () }
 
-  let table t = function
-    | Tuple.R -> t.r_counts
-    | Tuple.S -> t.s_counts
-
   let observe t (tuple : Tuple.t) =
-    Ssj_prob.Dtab.add (table t tuple.side) tuple.value 1
+    Ssj_prob.Dtab.add
+      (match tuple.side with Tuple.R -> t.r_counts | Tuple.S -> t.s_counts)
+      tuple.value 1
 
-  (* Frequency of the tuple's value in the *partner* stream's history. *)
-  let partner_count t (tuple : Tuple.t) =
-    Ssj_prob.Dtab.get (table t (Tuple.partner tuple.side)) tuple.value
+  (* Frequency of the value in the *partner* stream's history: an R
+     candidate (uid bit 0) counts against the S history and vice
+     versa. *)
+  let[@inline] partner_count t ~uid ~value =
+    Ssj_prob.Dtab.get (if uid land 1 = 0 then t.s_counts else t.r_counts) value
 end
 
-(* Each policy builds one score closure per step (it captures [now]), not
-   one per candidate; dead tuples (lifetime <= 0) score below every live
-   tuple without consuming the scorer — RAND's RNG stream depends on it.
-
-   The [fast] implementations score with an explicit loop over the
-   buffer's unboxed uid/value arrays (uid = 2·arrival + side bit, so the
-   arrays carry the whole tuple), then handle the R and S arrivals as
-   scalars — matching the list path's cached-then-arrivals order draw
-   for draw.  The common [Trend] lifetime with [speed = 1] folds the
-   death test into one integer compare. *)
-
-(* [remaining] on the buffer representation; reconstructs a tuple only
-   for the fully general [Fn] case (the reconstruction is exact: uid
-   determines side and arrival). *)
-let remaining_uv lt ~now ~uid ~value =
-  match lt with
-  | Trend { r_add; s_add; speed } ->
-    ((value + (if uid land 1 = 0 then r_add else s_add)) / speed) - now
-  | Of_window { width } -> (uid asr 1) + width - now
-  | Fn f ->
-    let side = if uid land 1 = 0 then Tuple.R else Tuple.S in
-    f ~now (Tuple.make ~side ~value ~arrival:(uid asr 1))
+(* Every policy here is one {!Policy.scored} loop over the candidates'
+   uid/value arrays.  Dead tuples (lifetime <= 0) score below every live
+   tuple without consuming the scorer — RAND's RNG stream depends on
+   it. *)
 
 let rand ~rng ?lifetime () =
-  let sel = Policy.selector () in
-  let score_at now =
-    match lifetime with
-    | None -> fun _ -> Ssj_prob.Rng.float rng 1.0
-    | Some lt ->
-      fun t ->
-        if remaining lt ~now t <= 0 then Float.neg_infinity
-        else Ssj_prob.Rng.float rng 1.0
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    Policy.select_top sel ~capacity ~score:(score_at now)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    if capacity <= 0 then Policy.clear dst
-    else begin
-      let n0 = src.Policy.n in
-      let n = n0 + 2 in
-      let scores, uids = Policy.scratch sel n in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      (match lifetime with
-      | None ->
-        for i = 0 to n0 - 1 do
-          Array.unsafe_set uids i (Array.unsafe_get su i);
-          Array.unsafe_set scores i (Ssj_prob.Rng.float rng 1.0)
-        done
-      | Some (Trend { r_add; s_add; speed = 1 }) ->
-        (* value + add − now <= 0  <=>  value <= now − add *)
-        let dead_r = now - r_add and dead_s = now - s_add in
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let dead = if u land 1 = 0 then dead_r else dead_s in
-          Array.unsafe_set scores i
-            (if Array.unsafe_get sv i <= dead then Float.neg_infinity
-             else Ssj_prob.Rng.float rng 1.0)
-        done
-      | Some lt ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          Array.unsafe_set scores i
-            (if
-               remaining_uv lt ~now ~uid:u ~value:(Array.unsafe_get sv i)
-               <= 0
-             then Float.neg_infinity
-             else Ssj_prob.Rng.float rng 1.0)
-        done);
-      let score_arrival (t : Tuple.t) =
-        match lifetime with
-        | Some lt when remaining lt ~now t <= 0 -> Float.neg_infinity
-        | Some _ | None -> Ssj_prob.Rng.float rng 1.0
-      in
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score_arrival r;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score_arrival s;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
-  in
-  Policy.make_join ~name:"RAND" ~fast select
+  Policy.scored ~name:"RAND" (fun ~now ~n ~uids ~values scores ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set scores i
+          (if
+             alive lifetime ~now ~uid:(Array.unsafe_get uids i)
+               ~value:(Array.unsafe_get values i)
+           then Ssj_prob.Rng.float rng 1.0
+           else Float.neg_infinity)
+      done)
 
 let prob ?lifetime () =
   let history = History.create () in
-  let sel = Policy.selector () in
-  let score_at now =
-    match lifetime with
-    | None -> fun t -> float_of_int (History.partner_count history t)
-    | Some lt ->
-      fun t ->
-        if remaining lt ~now t <= 0 then Float.neg_infinity
-        else float_of_int (History.partner_count history t)
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter (History.observe history) arrivals;
-    Policy.select_top sel ~capacity ~score:(score_at now)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    History.observe history r;
-    History.observe history s;
-    if capacity <= 0 then Policy.clear dst
-    else begin
-      let n0 = src.Policy.n in
-      let n = n0 + 2 in
-      let scores, uids = Policy.scratch sel n in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      (* Partner-side history table: R candidates (bit 0) count against
-         the S history and vice versa. *)
-      let r_tab = history.History.s_counts
-      and s_tab = history.History.r_counts in
-      (match lifetime with
-      | None ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let tab = if u land 1 = 0 then r_tab else s_tab in
-          Array.unsafe_set scores i
-            (float_of_int (Ssj_prob.Dtab.get tab (Array.unsafe_get sv i)))
-        done
-      | Some (Trend { r_add; s_add; speed = 1 }) ->
-        let dead_r = now - r_add and dead_s = now - s_add in
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          let bit = u land 1 in
-          let dead = if bit = 0 then dead_r else dead_s in
-          Array.unsafe_set scores i
-            (if v <= dead then Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get (if bit = 0 then r_tab else s_tab) v))
-        done
-      | Some lt ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          Array.unsafe_set scores i
-            (if remaining_uv lt ~now ~uid:u ~value:v <= 0 then
-               Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get
-                    (if u land 1 = 0 then r_tab else s_tab)
-                    v))
-        done);
-      let score_arrival (t : Tuple.t) =
-        match lifetime with
-        | Some lt when remaining lt ~now t <= 0 -> Float.neg_infinity
-        | Some _ | None -> float_of_int (History.partner_count history t)
-      in
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score_arrival r;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score_arrival s;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
-  in
-  Policy.make_join ~name:"PROB" ~fast select
+  Policy.scored ~name:"PROB" ~observe:(History.observe history)
+    (fun ~now ~n ~uids ~values scores ->
+      for i = 0 to n - 1 do
+        let uid = Array.unsafe_get uids i
+        and value = Array.unsafe_get values i in
+        Array.unsafe_set scores i
+          (if alive lifetime ~now ~uid ~value then
+             float_of_int (History.partner_count history ~uid ~value)
+           else Float.neg_infinity)
+      done)
 
 let life ~lifetime () =
   let history = History.create () in
-  let sel = Policy.selector () in
-  let score_at now t =
-    let rem = remaining lifetime ~now t in
-    if rem <= 0 then Float.neg_infinity
-    else float_of_int (History.partner_count history t) *. float_of_int rem
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter (History.observe history) arrivals;
-    Policy.select_top sel ~capacity ~score:(score_at now)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    History.observe history r;
-    History.observe history s;
-    if capacity <= 0 then Policy.clear dst
-    else begin
-      let n0 = src.Policy.n in
-      let n = n0 + 2 in
-      let scores, uids = Policy.scratch sel n in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      let r_tab = history.History.s_counts
-      and s_tab = history.History.r_counts in
-      (match lifetime with
-      | Trend { r_add; s_add; speed = 1 } ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          let bit = u land 1 in
-          let rem = v + (if bit = 0 then r_add else s_add) - now in
-          Array.unsafe_set scores i
-            (if rem <= 0 then Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get (if bit = 0 then r_tab else s_tab) v)
-               *. float_of_int rem)
-        done
-      | lt ->
-        for i = 0 to n0 - 1 do
-          let u = Array.unsafe_get su i in
-          Array.unsafe_set uids i u;
-          let v = Array.unsafe_get sv i in
-          let rem = remaining_uv lt ~now ~uid:u ~value:v in
-          Array.unsafe_set scores i
-            (if rem <= 0 then Float.neg_infinity
-             else
-               float_of_int
-                 (Ssj_prob.Dtab.get
-                    (if u land 1 = 0 then r_tab else s_tab)
-                    v)
-               *. float_of_int rem)
-        done);
-      let score_arrival (t : Tuple.t) =
-        let rem = remaining lifetime ~now t in
-        if rem <= 0 then Float.neg_infinity
-        else
-          float_of_int (History.partner_count history t) *. float_of_int rem
-      in
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score_arrival r;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score_arrival s;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
-  in
-  Policy.make_join ~name:"LIFE" ~fast select
+  Policy.scored ~name:"LIFE" ~observe:(History.observe history)
+    (fun ~now ~n ~uids ~values scores ->
+      for i = 0 to n - 1 do
+        let uid = Array.unsafe_get uids i
+        and value = Array.unsafe_get values i in
+        let rem = remaining_uv lifetime ~now ~uid ~value in
+        Array.unsafe_set scores i
+          (if rem <= 0 then Float.neg_infinity
+           else
+             float_of_int (History.partner_count history ~uid ~value)
+             *. float_of_int rem)
+      done)
 
 let prob_model ~partner_prob () =
-  let sel = Policy.selector () in
-  let select ~now:_ ~cached ~arrivals ~capacity =
-    Policy.select_top sel ~capacity ~score:partner_prob ~tie:Policy.newer_first
-      ~cached ~arrivals
-  in
-  Policy.make_join ~name:"PROB-model" select
+  Policy.scored ~name:"PROB-model" (fun ~now:_ ~n ~uids ~values scores ->
+      for i = 0 to n - 1 do
+        scores.(i) <- partner_prob (Tuple.of_uid ~uid:uids.(i) ~value:values.(i))
+      done)

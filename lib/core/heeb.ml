@@ -23,23 +23,15 @@ type joining_state = {
   memo : Ssj_prob.Ftab.t;
 }
 
-let partner_pred st = function
-  | Tuple.R -> st.s_pred
-  | Tuple.S -> st.r_pred
-
-let direct_h st ~l (t : Tuple.t) =
-  Hvalue.joining ~partner:(partner_pred st t.side) ~l ~value:t.value
-
-(* Buffer-representation twin: [bit] is the uid's side bit (R = 0). *)
+(* H of the candidate with this uid side bit (R = 0) and value: an R
+   tuple joins future S arrivals, and vice versa. *)
 let direct_h_bit st ~l ~bit ~value =
   Hvalue.joining
     ~partner:(if bit = 0 then st.s_pred else st.r_pred)
     ~l ~value
 
-(* `Memo_trend` memo key: trend-relative offset with the side in the low
-   bit.  Bijective with the old (side, offset) pair, but a machine int. *)
-let memo_key side offset =
-  (offset lsl 1) lor (match side with Tuple.R -> 0 | Tuple.S -> 1)
+let direct_h st ~l (t : Tuple.t) =
+  direct_h_bit st ~l ~bit:(t.uid land 1) ~value:t.value
 
 let fresh_state ~r ~s =
   {
@@ -62,46 +54,22 @@ let prune_hvals hvals kept =
   in
   List.iter (Hashtbl.remove hvals) stale
 
-let joining ?name ~r ~s ~l ?(mode = `Direct) () =
-  let mode =
-    match mode with
-    | `Incremental _ when not (r.Predictor.independent && s.Predictor.independent)
-      ->
-      Log.warn (fun m ->
-          m "incremental HEEB needs independent processes; using direct mode");
-      `Direct
-    | m -> m
-  in
-  let st = fresh_state ~r ~s in
+let observe_into st (t : Tuple.t) =
+  match t.side with
+  | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.value
+  | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.value
+
+(* Corollaries 3–4: time-incremental H for independent processes.  Needs
+   the kept list to prune the per-uid state, so it is a list-only policy;
+   [prior_r]/[prior_s] are the one-step laws Pr{X_now = v} *before*
+   observing the step's arrivals. *)
+let joining_incremental ~name ~l ~alpha ~refresh_every st =
   let sel = Policy.selector () in
-  let name =
-    match name with
-    | Some n -> n
-    | None -> Printf.sprintf "HEEB(%s)" l.Lfun.name
-  in
-  let observe (t : Tuple.t) =
-    match t.side with
-    | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.value
-    | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.value
-  in
-  (* [priors] are the one-step laws Pr{X_{now} = v} *before* observing
-     today's arrivals — needed only by the Corollary 3 incremental update,
-     so the other modes skip building them. *)
-  let score_with ~now ~priors (t : Tuple.t) =
-    match mode with
-    | `Direct -> direct_h st ~l t
-    | `Memo_trend speed ->
-      let key = memo_key t.side (t.value - (speed * now)) in
-      (* H values are finite sums of probability-weighted L values and
-         never NaN, so NaN doubles as the absence marker. *)
-      let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-      if Float.is_nan h then begin
-        let h = direct_h st ~l t in
-        Ssj_prob.Ftab.set st.memo key h;
-        h
-      end
-      else h
-    | `Incremental { alpha; refresh_every } ->
+  let select ~now ~cached ~arrivals ~capacity =
+    let prior_r = st.r_pred.Predictor.pmf 1
+    and prior_s = st.s_pred.Predictor.pmf 1 in
+    List.iter (observe_into st) arrivals;
+    let score (t : Tuple.t) =
       let recompute () =
         let h = direct_h st ~l t in
         Hashtbl.replace st.hvals t.uid (h, now);
@@ -114,9 +82,6 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
         | Some (h_prev, at) ->
           if now - at >= refresh_every then recompute ()
           else begin
-            let prior_r, prior_s =
-              match priors with Some p -> p | None -> assert false
-            in
             let prior =
               match t.side with
               | Tuple.R -> prior_s (* an R tuple joins S arrivals *)
@@ -128,131 +93,85 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
             h
           end
       end
-  in
-  let select ~now ~cached ~arrivals ~capacity =
-    let priors =
-      match mode with
-      | `Incremental _ ->
-        Some (st.r_pred.Predictor.pmf 1, st.s_pred.Predictor.pmf 1)
-      | `Direct | `Memo_trend _ -> None
     in
-    List.iter observe arrivals;
-    let kept =
-      Policy.select_top sel ~capacity ~score:(score_with ~now ~priors)
-        ~tie:Policy.newer_first ~cached ~arrivals
-    in
-    (* Drop incremental state of evicted tuples. *)
-    (match mode with
-    | `Incremental _ -> prune_hvals st.hvals kept
-    | `Direct | `Memo_trend _ -> ());
+    let kept = Policy.select_top sel ~capacity ~score ~cached ~arrivals in
+    prune_hvals st.hvals kept;
     kept
   in
-  let fast =
+  Policy.make_join ~name select
+
+let joining ?name ~r ~s ~l ?(mode = `Direct) () =
+  let mode =
     match mode with
-    | `Incremental _ -> None (* needs the kept list for state pruning *)
-    | `Memo_trend speed ->
-      (* Specialized scoring loop: the memo hit — one table probe per
-         candidate — is the per-step steady state, so it runs without
-         the generic path's per-candidate closure call. *)
-      Some
-        (fun ~src ~dst ~now ~r ~s ~capacity ->
-          observe r;
-          observe s;
-          if capacity <= 0 then Policy.clear dst
-          else begin
-            let n0 = src.Policy.n in
-            let n = n0 + 2 in
-            let scores, uids = Policy.scratch sel n in
-            let su = src.Policy.uids and sv = src.Policy.values in
-            let shift = speed * now in
-            for i = 0 to n0 - 1 do
-              let u = Array.unsafe_get su i in
-              Array.unsafe_set uids i u;
-              let bit = u land 1 in
-              let value = Array.unsafe_get sv i in
-              let key = ((value - shift) lsl 1) lor bit in
-              let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-              let h =
-                if Float.is_nan h then begin
-                  let h = direct_h_bit st ~l ~bit ~value in
-                  Ssj_prob.Ftab.set st.memo key h;
-                  h
-                end
-                else h
-              in
-              Array.unsafe_set scores i h
-            done;
-            let score_arrival (t : Tuple.t) =
-              let key = memo_key t.side (t.value - shift) in
-              let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-              if Float.is_nan h then begin
-                let h = direct_h st ~l t in
-                Ssj_prob.Ftab.set st.memo key h;
-                h
-              end
-              else h
-            in
-            uids.(n0) <- r.Tuple.uid;
-            scores.(n0) <- score_arrival r;
-            uids.(n0 + 1) <- s.Tuple.uid;
-            scores.(n0 + 1) <- score_arrival s;
-            Policy.select_prescored sel ~capacity ~src ~dst r s
-          end)
-    | `Direct ->
-      Some
-        (fun ~src ~dst ~now ~r ~s ~capacity ->
-          observe r;
-          observe s;
-          if capacity <= 0 then Policy.clear dst
-          else begin
-            let n0 = src.Policy.n in
-            let n = n0 + 2 in
-            let scores, uids = Policy.scratch sel n in
-            let su = src.Policy.uids and sv = src.Policy.values in
-            for i = 0 to n0 - 1 do
-              let u = Array.unsafe_get su i in
-              Array.unsafe_set uids i u;
-              Array.unsafe_set scores i
-                (direct_h_bit st ~l ~bit:(u land 1)
-                   ~value:(Array.unsafe_get sv i))
-            done;
-            let score = score_with ~now ~priors:None in
-            uids.(n0) <- r.Tuple.uid;
-            scores.(n0) <- score r;
-            uids.(n0 + 1) <- s.Tuple.uid;
-            scores.(n0 + 1) <- score s;
-            Policy.select_prescored sel ~capacity ~src ~dst r s
-          end)
+    | `Incremental _ when not (r.Predictor.independent && s.Predictor.independent)
+      ->
+      Log.warn (fun m ->
+          m "incremental HEEB needs independent processes; using direct mode");
+      `Direct
+    | m -> m
   in
-  Policy.make_join ~name ?fast select
+  let st = fresh_state ~r ~s in
+  let name =
+    match name with
+    | Some n -> n
+    | None -> Printf.sprintf "HEEB(%s)" l.Lfun.name
+  in
+  match mode with
+  | `Incremental { alpha; refresh_every } ->
+    joining_incremental ~name ~l ~alpha ~refresh_every st
+  | `Direct ->
+    Policy.scored ~name ~observe:(observe_into st)
+      (fun ~now:_ ~n ~uids ~values scores ->
+        for i = 0 to n - 1 do
+          Array.unsafe_set scores i
+            (direct_h_bit st ~l
+               ~bit:(Array.unsafe_get uids i land 1)
+               ~value:(Array.unsafe_get values i))
+        done)
+  | `Memo_trend speed ->
+    (* H depends only on the trend-relative offset, so it is memoised by
+       (offset, side bit); the memo hit — one table probe per candidate —
+       is the per-step steady state.  H values are finite sums of
+       probability-weighted L values and never NaN, so NaN doubles as
+       the absence marker. *)
+    Policy.scored ~name ~observe:(observe_into st)
+      (fun ~now ~n ~uids ~values scores ->
+        let shift = speed * now in
+        for i = 0 to n - 1 do
+          let bit = Array.unsafe_get uids i land 1 in
+          let value = Array.unsafe_get values i in
+          let key = ((value - shift) lsl 1) lor bit in
+          let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
+          Array.unsafe_set scores i
+            (if Float.is_nan h then begin
+               let h = direct_h_bit st ~l ~bit ~value in
+               Ssj_prob.Ftab.set st.memo key h;
+               h
+             end
+             else h)
+        done)
 
 let joining_curves ?name ~h_r_tuples ~h_s_tuples () =
   let r_last = ref None and s_last = ref None in
-  let sel = Policy.selector () in
   let name = Option.value ~default:"HEEB(h1)" name in
-  let select ~now:_ ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.side with
-        | Tuple.R -> r_last := Some t.value
-        | Tuple.S -> s_last := Some t.value)
-      arrivals;
-    let score (t : Tuple.t) =
-      match t.side with
-      | Tuple.R -> (
-        (* R tuples join future S arrivals: offset against S's position. *)
-        match !s_last with
-        | None -> 0.0
-        | Some x -> Interp.Curve.eval h_r_tuples (float_of_int (t.value - x)))
-      | Tuple.S -> (
-        match !r_last with
-        | None -> 0.0
-        | Some x -> Interp.Curve.eval h_s_tuples (float_of_int (t.value - x)))
-    in
-    Policy.select_top sel ~capacity ~score ~tie:Policy.newer_first ~cached
-      ~arrivals
+  let observe (t : Tuple.t) =
+    match t.side with
+    | Tuple.R -> r_last := Some t.value
+    | Tuple.S -> s_last := Some t.value
   in
-  Policy.make_join ~name select
+  Policy.scored ~name ~observe (fun ~now:_ ~n ~uids ~values scores ->
+      for i = 0 to n - 1 do
+        (* An R tuple joins future S arrivals: offset against S's last
+           position, and vice versa. *)
+        let last, curve =
+          if uids.(i) land 1 = 0 then (!s_last, h_r_tuples)
+          else (!r_last, h_s_tuples)
+        in
+        scores.(i) <-
+          (match last with
+          | None -> 0.0
+          | Some x -> Interp.Curve.eval curve (float_of_int (values.(i) - x)))
+      done)
 
 let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s
     () =
@@ -266,17 +185,11 @@ let joining_adaptive ?name ?(initial_lifetime = 5.0) ?(smoothing = 0.05) ~r ~s
   let lifetime = ref initial_lifetime in
   let admitted_at : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let select ~now ~cached ~arrivals ~capacity =
-    List.iter
-      (fun (t : Tuple.t) ->
-        match t.Tuple.side with
-        | Tuple.R -> st.r_pred <- st.r_pred.Predictor.observe t.Tuple.value
-        | Tuple.S -> st.s_pred <- st.s_pred.Predictor.observe t.Tuple.value)
-      arrivals;
+    List.iter (observe_into st) arrivals;
     let alpha = Lfun.alpha_for_lifetime (Float.max 1.01 !lifetime) in
     let l = Lfun.exp_ ~alpha in
     let kept =
-      Policy.select_top sel ~capacity ~score:(direct_h st ~l)
-        ~tie:Policy.newer_first ~cached ~arrivals
+      Policy.select_top sel ~capacity ~score:(direct_h st ~l) ~cached ~arrivals
     in
     (* Update the lifetime estimate from this step's evictions, and track
        new admissions.  The kept-uid set is built once per step; the

@@ -47,7 +47,8 @@ let observe_selection (scores : float array) (sorted : int array) ~n ~k
    contents — the previous cache's diff against them — so the join index
    can be maintained in O(changes) instead of rescanning both caches.
    [evicted_n = -1] means the diff was not computed (heap-selection
-   path) and the caller must fall back to a full two-sided sweep. *)
+   path, or a list [select] copied in by the engine) and the caller must
+   fall back to a full two-sided sweep. *)
 type buffer = {
   mutable uids : int array;
   mutable values : int array;
@@ -97,7 +98,7 @@ type join = {
   fast : fast_select option;
 }
 
-let make_join ~name ?fast select = { name; select; fast }
+let make_join ~name select = { name; select; fast = None }
 
 type cache = {
   cname : string;
@@ -123,21 +124,21 @@ let validate_join_selection ~cached ~arrivals ~capacity result =
     if dup sorted then Error "selection contains duplicates" else Ok ()
   end
 
-let newer_first a b = Int.compare b.Tuple.uid a.Tuple.uid
-
-(* Reference implementation: full sort of the scored candidates.  Kept as
-   the oracle for the property tests of the bounded-selection version
-   below; both return the survivors best-first and agree exactly whenever
-   (score, tie) is a total order — which every shipped policy guarantees
-   (ties fall back to distinct uids). *)
-let keep_top_spec ~capacity ~score ~tie candidates =
+(* Reference implementation: full stable sort of the scored candidates,
+   score ties broken newer-first (uids are distinct, so the order is
+   total).  Kept as the oracle for the property tests of the
+   bounded-selection version below; both return the survivors
+   best-first. *)
+let keep_top_spec ~capacity ~score candidates =
   if capacity <= 0 then []
   else begin
     let scored = List.map (fun t -> (score t, t)) candidates in
     let ordered =
       List.sort
-        (fun (sa, ta) (sb, tb) ->
-          match Float.compare sb sa with 0 -> tie ta tb | c -> c)
+        (fun (sa, (ta : Tuple.t)) (sb, (tb : Tuple.t)) ->
+          match Float.compare sb sa with
+          | 0 -> Int.compare tb.Tuple.uid ta.Tuple.uid
+          | c -> c)
         scored
     in
     List.filteri (fun i _ -> i < capacity) ordered |> List.map snd
@@ -148,14 +149,15 @@ let keep_top_spec ~capacity ~score ~tie candidates =
 (* ------------------------------------------------------------------ *)
 
 (* Per-policy scratch buffers: candidates, their scores (unboxed float
-   array) and uids live in flat arrays reused across steps, so a
+   array), uids and values live in flat arrays reused across steps, so a
    selection allocates only the result list.  A selector belongs to one
    policy instance and must not be shared across domains — the parallel
    runner builds one policy (hence one selector) per trace. *)
 type selector = {
-  mutable items : Tuple.t array;
+  mutable items : Tuple.t array; (* list path only *)
   mutable scores : float array;
   mutable uids : int array;
+  mutable values : int array;
   mutable order : int array;
   mutable scratch : int array;
   mutable runs : int array; (* run boundaries, length >= n + 1 *)
@@ -167,6 +169,7 @@ let selector () =
     items = [||];
     scores = [||];
     uids = [||];
+    values = [||];
     order = [||];
     scratch = [||];
     runs = [||];
@@ -175,46 +178,45 @@ let selector () =
 
 let dummy = Tuple.make ~side:Tuple.R ~value:0 ~arrival:0
 
-(* Growth preserves the filled prefix of items/scores/uids: [fill] below
+(* Growth preserves the filled prefix of items/uids/values: [fill] below
    grows mid-stream, once the candidate count outruns the buffers. *)
 let ensure sel n =
   let old = Array.length sel.items in
   if old < n then begin
     let cap = max 16 (max n (2 * old)) in
     let items = Array.make cap dummy
-    and scores = Array.make cap 0.0
-    and uids = Array.make cap 0 in
+    and uids = Array.make cap 0
+    and values = Array.make cap 0 in
     Array.blit sel.items 0 items 0 old;
-    Array.blit sel.scores 0 scores 0 old;
     Array.blit sel.uids 0 uids 0 old;
+    Array.blit sel.values 0 values 0 old;
     sel.items <- items;
-    sel.scores <- scores;
+    sel.scores <- Array.make cap 0.0;
     sel.uids <- uids;
+    sel.values <- values;
     sel.order <- Array.make cap 0;
     sel.scratch <- Array.make cap 0;
     sel.runs <- Array.make (cap + 1) 0
   end
 
-(* Append the list's tuples (and their uids and scores) starting at slot
-   [i]; returns the next free slot.  Scores are computed left-to-right,
-   so a stateful [score] (RAND's RNG draws) sees the candidates in the
-   same order as the spec's [List.map].  Top-level recursion to avoid a
+(* Append the list's tuples (and their uids and values) starting at slot
+   [i]; returns the next free slot.  Top-level recursion to avoid a
    per-call closure. *)
-let rec fill sel (score : Tuple.t -> float) i = function
+let rec fill sel i = function
   | [] -> i
   | (t : Tuple.t) :: rest ->
     if i >= Array.length sel.items then ensure sel (i + 1);
     Array.unsafe_set sel.items i t;
     Array.unsafe_set sel.uids i t.Tuple.uid;
-    Array.unsafe_set sel.scores i (score t);
-    fill sel score (i + 1) rest
+    Array.unsafe_set sel.values i t.Tuple.value;
+    fill sel (i + 1) rest
 
 (* [before scores uids a b]: candidate index [a] strictly precedes [b] in
    best-first order — higher score first, then higher (newer) uid.  This
-   is exactly [Float.compare s_b s_a < 0 || (= 0 && newer_first a b < 0)]
-   with Float.compare's total order (NaN below every number) spelled out
-   as monomorphic float tests, so the sort below runs without closure
-   dispatch or boxing. *)
+   is exactly {!keep_top_spec}'s comparison [Float.compare s_b s_a < 0 ||
+   (= 0 && uid_a > uid_b)] with Float.compare's total order (NaN below
+   every number) spelled out as monomorphic float tests, so the sort
+   below runs without closure dispatch or boxing. *)
 let before (scores : float array) (uids : int array) (a : int) (b : int) =
   let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
   if sa > sb then true
@@ -422,22 +424,17 @@ let top_indices sel (scores : float array) (uids : int array) n capacity =
     sort_candidates scores uids heap sel.scratch sel.runs capacity
   end
 
-let select_top sel ~capacity ~score ~tie ~cached ~arrivals =
+(* List selection behind {!select_top} and {!scored}'s [select]: the
+   candidates are cached-then-arrivals, in list order; [score_all n]
+   fills [sel.scores.(0 .. n-1)] left to right, so a stateful score
+   (RAND's RNG draws) sees them in the spec's [List.map] order. *)
+let select_list sel ~capacity ~cached ~arrivals score_all =
   if capacity <= 0 then []
-  else if tie != newer_first then
-    (* The optimized path bakes the newer-first tie into its comparison;
-       any other comparator takes the reference implementation.  Every
-       in-repo policy passes [newer_first]. *)
-    keep_top_spec ~capacity ~score ~tie (cached @ arrivals)
   else begin
-    (* Candidate order is cached-then-arrivals with scores computed
-       left-to-right — exactly the spec's [List.map score] over
-       [cached @ arrivals], so stateful scores (RAND's RNG draws) see
-       the same sequence. *)
-    let n_cached = fill sel score 0 cached in
-    let n = fill sel score n_cached arrivals in
+    let n = fill sel (fill sel 0 cached) arrivals in
     if n = 0 then []
     else begin
+      score_all n;
       let sorted = top_indices sel sel.scores sel.uids n capacity in
       let k = if n < capacity then n else capacity in
       if Obs.on () then
@@ -447,78 +444,102 @@ let select_top sel ~capacity ~score ~tie ~cached ~arrivals =
     end
   end
 
-let keep_top ~capacity ~score ~tie candidates =
-  if tie == newer_first then
-    select_top (selector ()) ~capacity ~score ~tie ~cached:candidates
-      ~arrivals:[]
-  else keep_top_spec ~capacity ~score ~tie candidates
+let select_top sel ~capacity ~score ~cached ~arrivals =
+  select_list sel ~capacity ~cached ~arrivals (fun n ->
+      let items = sel.items and scores = sel.scores in
+      for i = 0 to n - 1 do
+        Array.unsafe_set scores i (score (Array.unsafe_get items i))
+      done)
 
-(* Scratch accessor for policies that fill the score/uid arrays with a
-   specialized loop (no per-candidate closure call) before calling
-   {!select_prescored}.  Ensures room for [n] candidates. *)
-let scratch sel n =
-  ensure sel n;
-  (sel.scores, sel.uids)
+let keep_top ~capacity ~score candidates =
+  select_top (selector ()) ~capacity ~score ~cached:candidates ~arrivals:[]
 
-(* Selection tail shared by the policies' scoring loops: candidate [i]
-   is [src.uids/values.(i)] for [i < src.n], then [r], then [s] —
-   positional, so a step writes only machine ints (no pointer stores,
-   no write barrier).  Requires [capacity > 0] and the first
-   [src.n + 2] slots of the scratch pair filled in that order. *)
-let select_prescored sel ~capacity ~(src : buffer) ~(dst : buffer)
-    (r : Tuple.t) (s : Tuple.t) =
+(* Selection tail of the buffer path: candidate [i] is [src]'s slot [i]
+   for [i < src.n], then [r], then [s], and the scratch holds every
+   candidate's score, uid and value — so a step writes only machine ints
+   (no pointer stores, no write barrier).  Requires [capacity > 0]. *)
+let select_prescored sel ~capacity ~(src : buffer) ~(dst : buffer) =
   let n0 = src.n in
   let n = n0 + 2 in
-  let scores = sel.scores and uids = sel.uids in
-  let svalues = src.values in
-  begin
-    let sorted = top_indices sel scores uids n capacity in
-    let k = if n < capacity then n else capacity in
-    if Obs.on () then
-      observe_selection scores sorted ~n ~k
-        ~sorted_n:(if n <= 2 * capacity then n else capacity);
-    if Array.length dst.uids < k then begin
-      let cap = max 16 (2 * k) in
-      dst.uids <- Array.make cap 0;
-      dst.values <- Array.make cap 0
-    end;
-    let out_u = dst.uids and out_v = dst.values in
-    dst.kept_r <- false;
-    dst.kept_s <- false;
-    for j = 0 to k - 1 do
+  let scores = sel.scores and uids = sel.uids and values = sel.values in
+  let sorted = top_indices sel scores uids n capacity in
+  let k = if n < capacity then n else capacity in
+  if Obs.on () then
+    observe_selection scores sorted ~n ~k
+      ~sorted_n:(if n <= 2 * capacity then n else capacity);
+  if Array.length dst.uids < k then begin
+    let cap = max 16 (2 * k) in
+    dst.uids <- Array.make cap 0;
+    dst.values <- Array.make cap 0
+  end;
+  let out_u = dst.uids and out_v = dst.values in
+  dst.kept_r <- false;
+  dst.kept_s <- false;
+  for j = 0 to k - 1 do
+    let idx = Array.unsafe_get sorted j in
+    Array.unsafe_set out_u j (Array.unsafe_get uids idx);
+    Array.unsafe_set out_v j (Array.unsafe_get values idx);
+    if idx = n0 then dst.kept_r <- true
+    else if idx > n0 then dst.kept_s <- true
+  done;
+  dst.n <- k;
+  if n <= 2 * capacity then begin
+    (* Full-sort path: [sorted] holds all [n] candidates, so its suffix
+       is exactly the dropped set — in the steady state two tuples, and
+       the join index can be maintained in O(diff). *)
+    if Array.length dst.evicted < n - k then
+      dst.evicted <- Array.make (max 16 (2 * (n - k))) 0;
+    let ev = dst.evicted in
+    let en = ref 0 in
+    for j = k to n - 1 do
       let idx = Array.unsafe_get sorted j in
-      (* The scratch uids already hold every candidate's uid. *)
-      Array.unsafe_set out_u j (Array.unsafe_get uids idx);
-      let v =
-        if idx < n0 then Array.unsafe_get svalues idx
-        else if idx = n0 then begin
-          dst.kept_r <- true;
-          r.Tuple.value
-        end
-        else begin
-          dst.kept_s <- true;
-          s.Tuple.value
-        end
-      in
-      Array.unsafe_set out_v j v
+      if idx < n0 then begin
+        Array.unsafe_set ev !en idx;
+        incr en
+      end
     done;
-    dst.n <- k;
-    if n <= 2 * capacity then begin
-      (* Full-sort path: [sorted] holds all [n] candidates, so its suffix
-         is exactly the dropped set — in the steady state two tuples, and
-         the join index can be maintained in O(diff). *)
-      if Array.length dst.evicted < n - k then
-        dst.evicted <- Array.make (max 16 (2 * (n - k))) 0;
-      let ev = dst.evicted in
-      let en = ref 0 in
-      for j = k to n - 1 do
-        let idx = Array.unsafe_get sorted j in
-        if idx < n0 then begin
-          Array.unsafe_set ev !en idx;
-          incr en
-        end
-      done;
-      dst.evicted_n <- !en
-    end
-    else dst.evicted_n <- -1 (* heap path: dropped set not enumerated *)
+    dst.evicted_n <- !en
   end
+  else dst.evicted_n <- -1 (* heap path: dropped set not enumerated *)
+
+type score =
+  now:int -> n:int -> uids:int array -> values:int array -> float array -> unit
+
+(* One scoring loop, two entry points.  Both observe the step's arrivals
+   first, then score every candidate — cached ones, then the arrivals —
+   in one call, so the list [select] and the buffer [fast] decide
+   identically by construction. *)
+let scored ~name ?(observe = ignore) (score : score) =
+  let sel = selector () in
+  let select ~now ~cached ~arrivals ~capacity =
+    List.iter observe arrivals;
+    select_list sel ~capacity ~cached ~arrivals (fun n ->
+        score ~now ~n ~uids:sel.uids ~values:sel.values sel.scores)
+  in
+  let fast ~(src : buffer) ~dst ~now ~(r : Tuple.t) ~(s : Tuple.t) ~capacity
+      =
+    observe r;
+    observe s;
+    if capacity <= 0 then clear dst
+    else begin
+      let n0 = src.n in
+      let n = n0 + 2 in
+      ensure sel n;
+      let uids = sel.uids and values = sel.values in
+      let su = src.uids and sv = src.values in
+      (* A plain loop, not [Array.blit]: the runtime blits into an
+         old-generation array through [caml_modify], element by
+         element. *)
+      for i = 0 to n0 - 1 do
+        Array.unsafe_set uids i (Array.unsafe_get su i);
+        Array.unsafe_set values i (Array.unsafe_get sv i)
+      done;
+      uids.(n0) <- r.Tuple.uid;
+      values.(n0) <- r.Tuple.value;
+      uids.(n0 + 1) <- s.Tuple.uid;
+      values.(n0 + 1) <- s.Tuple.value;
+      score ~now ~n ~uids ~values sel.scores;
+      select_prescored sel ~capacity ~src ~dst
+    end
+  in
+  { name; select; fast = Some fast }

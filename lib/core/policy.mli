@@ -35,10 +35,6 @@ type buffer = {
 
 val buffer : unit -> buffer
 
-val clear : buffer -> unit
-(** Record an empty selection step (what a fast path does when
-    [capacity <= 0]): no contents, empty diff. *)
-
 type fast_select =
   src:buffer ->
   dst:buffer ->
@@ -48,9 +44,8 @@ type fast_select =
   capacity:int ->
   unit
 (** Array-native step: read the cache from [src], write the new selection
-    (best-first) into [dst].  Must decide exactly as the policy's [select]
-    would on the same state — the simulator picks one path per run and the
-    test suite cross-checks them. *)
+    (best-first) and its diff into [dst].  Must decide exactly as the
+    policy's [select] would on the same state. *)
 
 type join = {
   name : string;
@@ -61,17 +56,39 @@ type join = {
     capacity:int ->
     Ssj_stream.Tuple.t list;
   fast : fast_select option;
-      (** allocation-free per-step variant; [None] falls back to [select] *)
+      (** allocation-free per-step variant; with [None] the simulator
+          drives [select] through its buffer loop instead *)
 }
 
 val make_join :
-  name:string -> ?fast:fast_select ->
+  name:string ->
   (now:int ->
   cached:Ssj_stream.Tuple.t list ->
   arrivals:Ssj_stream.Tuple.t list ->
   capacity:int ->
   Ssj_stream.Tuple.t list) ->
   join
+(** A policy with only a list [select] ([fast = None]) — for policies
+    that need the kept list itself, such as FlowExpect's plan or
+    incremental HEEB's state pruning. *)
+
+type score =
+  now:int -> n:int -> uids:int array -> values:int array -> float array -> unit
+(** One per-step scoring loop: fill [scores.(0 .. n-1)] for the [n]
+    candidates given as parallel [uids]/[values] arrays (uid =
+    2·arrival + side bit, see {!Ssj_stream.Tuple.make}) — the cached
+    tuples first, then the step's arrivals (R, then S) — in index
+    order. *)
+
+val scored :
+  name:string -> ?observe:(Ssj_stream.Tuple.t -> unit) -> score -> join
+(** [scored ~name ?observe score] is the top-k policy that keeps the
+    [capacity] best-scored candidates, best-first, score ties going to
+    the newer tuple.  Both the list [select] and the buffer [fast] step
+    call [observe] on each arrival (R, then S) before scoring and then
+    run [score] once over all candidates, so they decide identically.
+    With [capacity <= 0] the selection is empty and nothing is
+    scored. *)
 
 type cache = {
   cname : string;
@@ -95,23 +112,19 @@ val validate_join_selection :
 val keep_top :
   capacity:int ->
   score:(Ssj_stream.Tuple.t -> float) ->
-  tie:(Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int) ->
   Ssj_stream.Tuple.t list ->
   Ssj_stream.Tuple.t list
-(** Shared helper: keep the [capacity] candidates with the highest score,
-    best-first; [tie] is a comparator breaking score ties (negative means
-    the first argument is preferred, i.e. kept ahead of the second).
-    [score] is called exactly once per candidate, in list order, so
-    stateful scores (e.g. RAND's RNG draws) behave deterministically.
-    Implemented as a bounded selection — a size-[capacity] heap when the
-    candidate set is much larger than the capacity, a flat array sort
-    otherwise — and agrees exactly with {!keep_top_spec} whenever
-    (score, tie) induces a total order. *)
+(** Keep the [capacity] candidates with the highest score, best-first;
+    score ties go to the newer tuple (higher uid).  [score] is called
+    exactly once per candidate, in list order, so stateful scores behave
+    deterministically.  Implemented as a bounded selection — a
+    size-[capacity] heap when the candidate set is much larger than the
+    capacity, a flat array sort otherwise — and agrees exactly with
+    {!keep_top_spec}. *)
 
 val keep_top_spec :
   capacity:int ->
   score:(Ssj_stream.Tuple.t -> float) ->
-  tie:(Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int) ->
   Ssj_stream.Tuple.t list ->
   Ssj_stream.Tuple.t list
 (** Reference implementation of {!keep_top} by full stable sort; the
@@ -130,39 +143,11 @@ val select_top :
   selector ->
   capacity:int ->
   score:(Ssj_stream.Tuple.t -> float) ->
-  tie:(Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int) ->
   cached:Ssj_stream.Tuple.t list ->
   arrivals:Ssj_stream.Tuple.t list ->
   Ssj_stream.Tuple.t list
-(** [select_top sel ~capacity ~score ~tie ~cached ~arrivals] equals
-    [keep_top ~capacity ~score ~tie (cached @ arrivals)] but reuses
-    [sel]'s buffers and skips the list append, allocating only the
-    result list.  The per-step workhorse of every scored policy.
-
-    When [tie] is (physically) {!newer_first} — true of every in-repo
-    policy — selection runs on a closure-free adaptive merge sort over
-    unboxed score/uid arrays; any other comparator falls back to
-    {!keep_top_spec}.  Results are identical either way. *)
-
-val scratch : selector -> int -> float array * int array
-(** [scratch sel n] makes room for [n] candidates and returns the
-    (scores, uids) scratch pair.  For policies whose {!fast_select}
-    scores with a specialized loop — no per-candidate closure call or
-    float boxing — before handing over to {!select_prescored}.  The
-    arrays are invalidated by the next [scratch] call that grows them. *)
-
-val select_prescored :
-  selector ->
-  capacity:int ->
-  src:buffer ->
-  dst:buffer ->
-  Ssj_stream.Tuple.t ->
-  Ssj_stream.Tuple.t ->
-  unit
-(** Selection tail behind every {!fast_select}: requires [capacity > 0]
-    and slots [0 .. src.n + 1] of the {!scratch} pair filled with the
-    candidates' scores and uids — [src]'s contents first, then the two
-    arrivals, in that order (the same order the list path scores in). *)
-
-val newer_first : Ssj_stream.Tuple.t -> Ssj_stream.Tuple.t -> int
-(** Standard tie-break: prefer later arrivals (deterministic). *)
+(** [select_top sel ~capacity ~score ~cached ~arrivals] equals
+    [keep_top ~capacity ~score (cached @ arrivals)] but reuses [sel]'s
+    buffers and skips the list append, allocating only the result list.
+    For list-only policies whose score needs the tuple itself; a policy
+    that scores from uid and value is built with {!scored}. *)

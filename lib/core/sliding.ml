@@ -47,7 +47,6 @@ let score sc ~now ~uid ~value =
 let heeb ?name ~r ~s ~alpha ~window () =
   let sc = scorer ~alpha ~window in
   let r_pred = ref r and s_pred = ref s in
-  let sel = Policy.selector () in
   let name =
     match name with
     | Some n -> n
@@ -58,37 +57,13 @@ let heeb ?name ~r ~s ~alpha ~window () =
     | Tuple.R -> r_pred := !r_pred.Predictor.observe t.Tuple.value
     | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value
   in
-  let select ~now ~cached ~arrivals ~capacity =
-    List.iter observe arrivals;
-    refresh sc ~r:!r_pred ~s:!s_pred;
-    Policy.select_top sel ~capacity
-      ~score:(fun (t : Tuple.t) ->
-        score sc ~now ~uid:t.Tuple.uid ~value:t.Tuple.value)
-      ~tie:Policy.newer_first ~cached ~arrivals
-  in
-  let fast ~src ~dst ~now ~r ~s ~capacity =
-    observe r;
-    observe s;
-    if capacity <= 0 then Policy.clear dst
-    else begin
+  Policy.scored ~name ~observe (fun ~now ~n ~uids ~values scores ->
       refresh sc ~r:!r_pred ~s:!s_pred;
-      let n0 = src.Policy.n in
-      let scores, uids = Policy.scratch sel (n0 + 2) in
-      let su = src.Policy.uids and sv = src.Policy.values in
-      for i = 0 to n0 - 1 do
-        let u = Array.unsafe_get su i in
-        Array.unsafe_set uids i u;
+      for i = 0 to n - 1 do
         Array.unsafe_set scores i
-          (score sc ~now ~uid:u ~value:(Array.unsafe_get sv i))
-      done;
-      uids.(n0) <- r.Tuple.uid;
-      scores.(n0) <- score sc ~now ~uid:r.Tuple.uid ~value:r.Tuple.value;
-      uids.(n0 + 1) <- s.Tuple.uid;
-      scores.(n0 + 1) <- score sc ~now ~uid:s.Tuple.uid ~value:s.Tuple.value;
-      Policy.select_prescored sel ~capacity ~src ~dst r s
-    end
-  in
-  Policy.make_join ~name ~fast select
+          (score sc ~now ~uid:(Array.unsafe_get uids i)
+             ~value:(Array.unsafe_get values i))
+      done)
 
 let stationary_score ~alpha ~p ~remaining_lifetime =
   if remaining_lifetime <= 0 then 0.0

@@ -78,56 +78,12 @@ let matches t ~now (arrival : Tuple.t) =
     !acc
   end
 
-(* Pass 1 over [next]: restamp survivors, count additions.  Additions are
-   this step's arrivals, so entering the expiry queue in call order keeps
-   it sorted by arrival time.  Top-level recursion: a local [let rec]
-   capturing [t] would allocate a closure per step. *)
-let rec stamp_pass t tag = function
-  | [] -> ()
-  | (tuple : Tuple.t) :: rest ->
-    let uid = tuple.uid in
-    if uid < 0 || uid >= Array.length t.state then grow t uid;
-    let st = t.state in
-    let w = Array.unsafe_get st uid in
-    if w land 2 = 0 then begin
-      Array.unsafe_set st uid (tag lor 3);
-      Ssj_prob.Itab.add (counts t tuple.side) tuple.value 1;
-      match t.window with
-      | Some _ -> Queue.push tuple t.expiry
-      | None -> ()
-    end
-    else Array.unsafe_set st uid (tag lor (w land 3));
-    stamp_pass t tag rest
-
-(* Pass 2 over [prev]: anything not restamped was evicted.  Every [prev]
-   tuple was a [next] tuple of an earlier update, so its uid is already
-   within [t.state]; the bound check only guards API misuse. *)
-let rec sweep_pass t gen = function
-  | [] -> ()
-  | (tuple : Tuple.t) :: rest ->
-    let uid = tuple.uid in
-    let st = t.state in
-    if uid >= 0 && uid < Array.length st then begin
-      let w = Array.unsafe_get st uid in
-      if w asr 2 <> gen then begin
-        Array.unsafe_set st uid 0;
-        if w land 1 = 1 then
-          Ssj_prob.Itab.decr (counts t tuple.side) tuple.value
-      end
-    end;
-    sweep_pass t gen rest
-
-let update t ~prev ~next =
-  let gen = t.gen + 1 in
-  t.gen <- gen;
-  stamp_pass t (gen lsl 2) next;
-  sweep_pass t gen prev
-
-(* Buffer twins of the two passes, for the engine's fast path: the cache
-   arrives as parallel uid/value int arrays (uid = 2·arrival + side bit).
-   Same stamping discipline, same table updates; a tuple is
-   reconstructed — exactly, the uid determines side and arrival — only
-   when an addition enters the expiry queue. *)
+(* Cache maintenance from the diff of two consecutive caches, each
+   given as parallel uid/value int arrays (uid = 2·arrival + side bit).
+   Pass 1 over the new cache restamps survivors with this generation and
+   counts additions; additions are this step's arrivals, so entering the
+   expiry queue in array order keeps it sorted by arrival time.  Pass 2
+   over the previous cache uncounts anything not restamped. *)
 let counts_bit t bit = if bit = 0 then t.counts_r else t.counts_s
 
 let stamp_soa t tag (uids : int array) (values : int array) n =
@@ -141,9 +97,7 @@ let stamp_soa t tag (uids : int array) (values : int array) n =
       let value = Array.unsafe_get values i in
       Ssj_prob.Itab.add (counts_bit t (uid land 1)) value 1;
       match t.window with
-      | Some _ ->
-        let side = if uid land 1 = 0 then Tuple.R else Tuple.S in
-        Queue.push (Tuple.make ~side ~value ~arrival:(uid asr 1)) t.expiry
+      | Some _ -> Queue.push (Tuple.of_uid ~uid ~value) t.expiry
       | None -> ()
     end
     else Array.unsafe_set st uid (tag lor (w land 3))
@@ -172,11 +126,12 @@ let update_arrays t ~prev_uids ~prev_values ~prev_n ~next_uids ~next_values
   stamp_soa t (gen lsl 2) next_uids next_values next_n;
   sweep_soa t gen prev_uids prev_values prev_n
 
-(* O(diff) maintenance for callers that know exactly what changed (the
-   selection fast path): [insert] a newly cached arrival, [remove_id] an
-   evicted cache member.  Interchangeable step-by-step with {!update} —
-   the generation stamps the sweeps rely on stay consistent because
-   [insert] writes stamp 0 and every stamped pass restamps survivors. *)
+(* O(diff) maintenance for callers that know exactly what changed (a
+   policy that reports its step diff): [insert] a newly cached arrival,
+   [remove_id] an evicted cache member.  Interchangeable step-by-step
+   with {!update_arrays} — the generation stamps the sweeps rely on stay
+   consistent because [insert] writes stamp 0 and every stamped pass
+   restamps survivors. *)
 let insert t (tuple : Tuple.t) =
   let uid = tuple.uid in
   if uid < 0 || uid >= Array.length t.state then grow t uid;
@@ -193,5 +148,3 @@ let remove_id t ~uid ~value =
        cleared the bit while the tuple sat in the cache. *)
     if w land 1 = 1 then Ssj_prob.Itab.decr (counts_bit t (uid land 1)) value
   end
-
-let remove t (tuple : Tuple.t) = remove_id t ~uid:tuple.uid ~value:tuple.value

@@ -10,8 +10,8 @@
     Correctness leans on two simulator invariants: selections are subsets
     of cached ∪ arrivals (so a tuple evicted once never reappears), and
     arrivals at step [t] carry [arrival = t] (so window expiry is
-    monotone and a plain FIFO queue suffices).  {!update} checks the
-    first invariant cheaply by refusing negative uids. *)
+    monotone and a plain FIFO queue suffices).  {!update_arrays} checks
+    the first invariant cheaply by refusing negative uids. *)
 
 type t
 
@@ -23,15 +23,8 @@ val create :
 val matches : t -> now:int -> Ssj_stream.Tuple.t -> int
 (** Number of indexed partner-side tuples joining [arrival] at time
     [now] — equal to [Join_sim.matches_in_cache ?window ~band ~now cache]
-    for the cache installed by the last {!update}.  Expires out-of-window
+    for the cache installed by the last update.  Expires out-of-window
     tuples as a side effect; [now] must not decrease across calls. *)
-
-val update :
-  t -> prev:Ssj_stream.Tuple.t list -> next:Ssj_stream.Tuple.t list -> unit
-(** Install the new cache contents [next], diffing against the previous
-    contents [prev] (the exact list passed as [next] last time).  Cost is
-    O(|prev| + |next|) stamp reads and one table update per actual
-    addition or eviction. *)
 
 val update_arrays :
   t ->
@@ -42,23 +35,23 @@ val update_arrays :
   next_values:int array ->
   next_n:int ->
   unit
-(** {!update} over the fast path's buffer representation: each cache is
-    a prefix of parallel uid/value arrays ([uid = 2·arrival + side bit],
-    as in {!Ssj_core.Policy.buffer}).  Interchangeable with {!update}
-    step by step (only the diffed contents matter). *)
+(** Install the new cache contents [next_*], diffing against the
+    previous contents [prev_*] (the exact contents passed as [next_*]
+    last time).  Each cache is a prefix of parallel uid/value arrays
+    ([uid = 2·arrival + side bit], as in {!Ssj_core.Policy.buffer}).
+    Cost is O(prev_n + next_n) stamp reads and one table update per
+    actual addition or eviction. *)
 
 val insert : t -> Ssj_stream.Tuple.t -> unit
 (** Index a tuple that just entered the cache (a kept arrival).  With
-    {!remove_id}, the O(diff) alternative to {!update} for callers that
-    know the exact step diff; interchangeable with it step by step. *)
+    {!remove_id}, the O(diff) alternative to {!update_arrays} for callers
+    that know the exact step diff; interchangeable with it step by
+    step. *)
 
 val remove_id : t -> uid:int -> value:int -> unit
 (** Unindex an evicted cache member given its uid (which encodes the
     side) and join-attribute value.  Must have been {!insert}ed (or
     installed by an update) before; no-op on a never-seen uid. *)
-
-val remove : t -> Ssj_stream.Tuple.t -> unit
-(** [remove_id] on a tuple's fields. *)
 
 (** {2 Conformance fault hook — test use only}
 

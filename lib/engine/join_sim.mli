@@ -6,7 +6,11 @@
     then the policy picks the new cache contents from cached ∪ arrivals.
 
     With a sliding window, only cached tuples still inside the window
-    produce results. *)
+    produce results.
+
+    Every run steps the policy's buffer [fast] step; a policy without
+    one has its list [select] driven through an adapter built at the
+    start of the run. *)
 
 exception Step_budget_exceeded of { policy : string; steps : int }
 (** Raised by {!run} when a [step_budget] is given and the trace asks
@@ -35,9 +39,11 @@ val run :
   result
 (** [warmup] defaults to 0; [band] (default 0 = equijoin) switches to band
     semantics, matching tuples with [|v1 − v2| ≤ band]; [validate]
-    (default false) checks every selection returned by the policy and
-    raises [Failure] on a violation — used by the test suite, skipped in
-    benchmarks.  [step_budget] (default unlimited) aborts the run with
+    (default false) checks every step's selection (a duplicate-free
+    subset of cached ∪ arrivals, values intact, within capacity) and,
+    when the policy reports one, its diff (evicted positions and kept
+    arrivals), raising [Failure] on a violation — used by the test
+    suite, skipped in benchmarks.  [step_budget] (default unlimited) aborts the run with
     {!Step_budget_exceeded} once that many steps have executed — the
     supervised runner's per-run soft timeout. *)
 

@@ -1,5 +1,6 @@
 open Ssj_core
 module Obs = Ssj_obs.Obs
+module Parallel = Ssj_prob.Parallel
 
 type summary = {
   label : string;

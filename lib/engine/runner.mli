@@ -34,9 +34,10 @@ val compare_joining :
   unit ->
   summary list
 (** Each policy factory is invoked afresh per run (policies are stateful),
-    so runs are independent and evaluated in parallel over {!Parallel.map}
-    ([jobs] defaults to {!Parallel.default_jobs}; results are identical
-    for any job count).  With [include_opt] (default true) an
+    so runs are independent and evaluated in parallel over
+    {!Ssj_prob.Parallel.map} ([jobs] defaults to
+    {!Ssj_prob.Parallel.default_jobs}; results are identical for any job
+    count).  With [include_opt] (default true) an
     "OPT-OFFLINE" summary computed by {!Ssj_core.Opt_offline} on the same
     traces is prepended. *)
 
@@ -127,10 +128,10 @@ val run_supervised :
   (int -> 'a -> float) ->
   'a array ->
   supervised
-(** Evaluate [f run_index item] for every item over {!Parallel.try_map}.
-    A raising run is retried up to [supervision.retries] times with the
-    same index and item; if every attempt fails, a {!failure} is
-    recorded and the sweep continues.  [per_run] keeps the completed
+(** Evaluate [f run_index item] for every item over
+    {!Ssj_prob.Parallel.try_map}.  A raising run is retried up to
+    [supervision.retries] times with the same index and item; if every
+    attempt fails, a {!failure} is recorded and the sweep continues.  [per_run] keeps the completed
     runs in input order, so results are independent of the job count.
     Checkpoint keys are ["<ckpt_context>|<label>|<run_index>"]
     ([ckpt_context] defaults to [""]); a key already present skips the

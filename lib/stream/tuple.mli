@@ -21,6 +21,11 @@ val make : side:side -> value:int -> arrival:int -> t
 (** Computes [uid] canonically as [2·arrival + (0 for R | 1 for S)], which
     is unique because each stream emits exactly one tuple per step. *)
 
+val of_uid : uid:int -> value:int -> t
+(** The tuple with this canonical uid and value — the inverse of
+    {!make}'s uid encoding, for code that carries tuples as uid/value
+    pairs. *)
+
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,5 @@
-(* Fault-injection combinators: zero-severity identity (QCheck, both
-   join paths), per-kind behaviour at rate 1.0, determinism, regime
+(* Fault-injection combinators: zero-severity identity (QCheck, with and
+   without the policy's fast step), per-kind behaviour at rate 1.0, determinism, regime
    splices. *)
 
 open Ssj_prob
@@ -58,8 +58,9 @@ let zero_rate_values_identity =
       && Fault.apply_side spec ~side:Tuple.S values = values)
 
 let zero_rate_sim_identity =
-  (* The ISSUE's acceptance property: a zero-severity fault config is
-     bit-identical to the unperturbed run on both engine join paths. *)
+  (* A zero-severity fault config is bit-identical to the unperturbed
+     run, both through the policy's [fast] step and, with [fast]
+     stripped, through the engine's [select] adapter. *)
   Helpers.qcheck ~count:15 "inert spec: bit-identical sim on both join paths"
     QCheck2.Gen.(pair inert_spec_gen (int_range 0 1000))
     (fun (spec, seed) ->

@@ -16,7 +16,7 @@ let uids = List.map (fun t -> t.Tuple.uid)
 (* --- keep_top vs keep_top_spec -------------------------------------- *)
 
 (* Scores drawn from a small table so ties are frequent; candidates get
-   distinct arrivals, so (score, newer_first) is a total order and the
+   distinct arrivals, so (score, newer uid first) is a total order and the
    two implementations must agree exactly.  Sizes up to 60 against
    capacities up to 12 exercise all three regimes: n <= capacity, the
    flat-sort path, and the bounded-heap path (n > 2 * capacity). *)
@@ -36,10 +36,8 @@ let keep_top_agrees (capacity, specs) =
   in
   let tuples = List.map fst candidates in
   let score t = score_table.(t.Tuple.value) in
-  let fast = Policy.keep_top ~capacity ~score ~tie:Policy.newer_first tuples in
-  let spec =
-    Policy.keep_top_spec ~capacity ~score ~tie:Policy.newer_first tuples
-  in
+  let fast = Policy.keep_top ~capacity ~score tuples in
+  let spec = Policy.keep_top_spec ~capacity ~score tuples in
   uids fast = uids spec
 
 (* --- Join_index vs matches_in_cache --------------------------------- *)
@@ -47,8 +45,8 @@ let keep_top_agrees (capacity, specs) =
 (* Drive a random cache evolution (subset of cached + arrivals, capacity
    8) and check, at every step, that the incrementally maintained index
    counts exactly what a naive scan of the current cache counts — for
-   both maintenance APIs: the diffing [update] and the explicit
-   [insert]/[remove] pair the engine fast path uses. *)
+   both maintenance APIs the engine uses: the diffing [update_arrays] and
+   the explicit [insert]/[remove_id] pair. *)
 let gen_evolution =
   QCheck2.Gen.(
     quad (int_range 0 9999) (int_range 0 3) (int_range 0 2) (int_range 5 40))
@@ -74,7 +72,15 @@ let index_agrees (seed, wcode, band, steps) =
         (fun i _ -> i < 8)
         (List.filter (fun _ -> Rng.float rng 1.0 < 0.7) (!cache @ [ r; s ]))
     in
-    Join_index.update by_update ~prev:!cache ~next;
+    let arrays l =
+      ( Array.of_list (uids l),
+        Array.of_list (List.map (fun t -> t.Tuple.value) l),
+        List.length l )
+    in
+    let prev_uids, prev_values, prev_n = arrays !cache
+    and next_uids, next_values, next_n = arrays next in
+    Join_index.update_arrays by_update ~prev_uids ~prev_values ~prev_n
+      ~next_uids ~next_values ~next_n;
     List.iter
       (fun t ->
         if not (List.exists (Tuple.equal t) !cache) then
@@ -83,7 +89,7 @@ let index_agrees (seed, wcode, band, steps) =
     List.iter
       (fun t ->
         if not (List.exists (Tuple.equal t) next) then
-          Join_index.remove by_diff t)
+          Join_index.remove_id by_diff ~uid:t.Tuple.uid ~value:t.Tuple.value)
       !cache;
     cache := next
   done;
@@ -97,12 +103,13 @@ let tower_trace length seed =
   let r, s = Config.predictors tower in
   Trace.generate ~r ~s ~rng:(Rng.create seed) ~length
 
-(* [validate:true] forces the allocating list path (and checks every
-   selection on the way); the default run takes the buffer fast path.
-   Fresh policy instances with the same seed draw the same randomness,
-   so both executions must produce identical counts.  Capacity 1 keeps
-   the candidate set above twice the capacity, covering the heap
-   selection and the index's whole-buffer rescan.  The window row adds
+(* A policy's buffer [fast] step against its list [select], which the
+   engine drives through its adapter once [fast] is stripped; both runs
+   validate every step's selection and diff.  Fresh policy instances
+   with the same seed draw the same randomness, so both executions must
+   produce identical counts.  Capacity 1 keeps the candidate set above
+   twice the capacity, covering the heap selection and the index's
+   whole-buffer rescan.  The window row adds
    windowed HEEB over the TOWER predictors, whose per-step law table
    varies with Δt. *)
 let test_fast_matches_list () =
@@ -122,9 +129,11 @@ let test_fast_matches_list () =
       in
       List.iter
         (fun (name, mk) ->
-          let run validate =
-            Join_sim.run ~trace ~policy:(mk ()) ~capacity ~warmup:40 ?window
-              ~band ~validate ()
+          let run lifted =
+            let p = mk () in
+            Join_sim.run ~trace
+              ~policy:(if lifted then { p with Policy.fast = None } else p)
+              ~capacity ~warmup:40 ?window ~band ~validate:true ()
           in
           let fast = run false and slow = run true in
           let label =
@@ -141,6 +150,42 @@ let test_fast_matches_list () =
       (1, None, 0);
       (8, Some (Window.create ~width:12), 1);
     ]
+
+(* --- lifetime shortcut vs the general estimator ---------------------- *)
+
+(* The baselines' scoring loops inline the first-order [Trend] death test
+   (and skip its division at speed 1); the same estimator written as an
+   [Fn] closure takes none of those shortcuts.  On TOWER traces RAND,
+   PROB and LIFE must run bit-identically under either form, at the
+   shipped speed 1 and at a divided speed. *)
+let gen_lifetime_case =
+  QCheck2.Gen.(
+    quad (int_range 0 9999) (int_range 1 12) (int_range 1 3) (int_range 0 2))
+
+let trend_matches_fn (seed, capacity, speed, which) =
+  let trace = tower_trace 300 seed in
+  let r_add, s_add =
+    match Config.lifetime tower with
+    | Baselines.Trend { r_add; s_add; _ } -> (r_add, s_add)
+    | Baselines.Of_window _ | Baselines.Fn _ -> assert false
+  in
+  let trend = Baselines.Trend { r_add; s_add; speed } in
+  let fn =
+    Baselines.Fn
+      (fun ~now (t : Tuple.t) ->
+        let add = match t.Tuple.side with Tuple.R -> r_add | Tuple.S -> s_add in
+        ((t.Tuple.value + add) / speed) - now)
+  in
+  let policy lifetime =
+    match which with
+    | 0 -> Baselines.rand ~rng:(Rng.create seed) ~lifetime ()
+    | 1 -> Baselines.prob ~lifetime ()
+    | _ -> Baselines.life ~lifetime ()
+  in
+  let run lifetime =
+    Join_sim.run ~trace ~policy:(policy lifetime) ~capacity ~warmup:20 ()
+  in
+  run trend = run fn
 
 (* --- parallel runner determinism ------------------------------------ *)
 
@@ -188,6 +233,8 @@ let suite =
     qcheck ~count:100 "Join_index = naive cache scan" gen_evolution
       index_agrees;
     Alcotest.test_case "fast path = list path" `Quick test_fast_matches_list;
+    qcheck ~count:60 "Trend lifetime = equivalent Fn lifetime" gen_lifetime_case
+      trend_matches_fn;
     Alcotest.test_case "Parallel.map = Array.map" `Quick test_parallel_map;
     Alcotest.test_case "runner deterministic across jobs" `Quick
       test_runner_deterministic;

@@ -7,22 +7,16 @@ let tup side value arrival = Tuple.make ~side ~value ~arrival
 let test_keep_top () =
   let a = tup Tuple.R 1 0 and b = tup Tuple.S 2 1 and c = tup Tuple.R 3 2 in
   let score t = float_of_int t.Tuple.value in
-  let kept =
-    Policy.keep_top ~capacity:2 ~score ~tie:Policy.newer_first [ a; b; c ]
-  in
+  let kept = Policy.keep_top ~capacity:2 ~score [ a; b; c ] in
   check_bool "keeps top two" true
     (List.exists (Tuple.equal c) kept && List.exists (Tuple.equal b) kept);
   check_int "size" 2 (List.length kept);
   check_int "capacity 0" 0
-    (List.length (Policy.keep_top ~capacity:0 ~score ~tie:Policy.newer_first [ a ]))
+    (List.length (Policy.keep_top ~capacity:0 ~score [ a ]))
 
 let test_keep_top_tiebreak () =
   let old_t = tup Tuple.R 5 0 and new_t = tup Tuple.S 5 9 in
-  let kept =
-    Policy.keep_top ~capacity:1
-      ~score:(fun _ -> 1.0)
-      ~tie:Policy.newer_first [ old_t; new_t ]
-  in
+  let kept = Policy.keep_top ~capacity:1 ~score:(fun _ -> 1.0) [ old_t; new_t ] in
   check_bool "newer preferred" true (List.exists (Tuple.equal new_t) kept)
 
 let test_validate_selection () =
@@ -223,9 +217,7 @@ let prop_keep_top_size_and_membership =
         List.mapi (fun i _ -> tup Tuple.R i i) scores
       in
       let score t = List.nth scores t.Tuple.value in
-      let kept =
-        Policy.keep_top ~capacity ~score ~tie:Policy.newer_first candidates
-      in
+      let kept = Policy.keep_top ~capacity ~score candidates in
       let expected_size = min capacity (List.length candidates) in
       List.length kept = expected_size
       && (* every kept tuple scores >= every dropped tuple *)

@@ -72,6 +72,35 @@ let test_validation_catches_cheating () =
      check_bool "mentions the policy" true
        (String.length msg > 0))
 
+(* The buffer step's diff (evicted positions, kept arrivals) drives the
+   join index, so validation must check it, not just the selection: a
+   correct PROB whose [fast] misreports its diff has to be caught. *)
+let test_validation_checks_diff () =
+  let cfg = Ssj_workload.Config.tower () in
+  let r, s = Ssj_workload.Config.predictors cfg in
+  let t = Trace.generate ~r ~s ~rng:(rng 73) ~length:200 in
+  let caught label corrupt =
+    let p = Baselines.prob ~lifetime:(Ssj_workload.Config.lifetime cfg) () in
+    let fast = Option.get p.Policy.fast in
+    let fast ~src ~dst ~now ~r ~s ~capacity =
+      fast ~src ~dst ~now ~r ~s ~capacity;
+      corrupt dst
+    in
+    match
+      Join_sim.run ~trace:t ~policy:{ p with Policy.fast = Some fast }
+        ~capacity:4 ~validate:true ()
+    with
+    | _ -> Alcotest.failf "%s: expected validation failure" label
+    | exception Failure _ -> ()
+  in
+  caught "eviction left out" (fun dst ->
+      if dst.Policy.evicted_n > 0 then
+        dst.Policy.evicted_n <- dst.Policy.evicted_n - 1);
+  caught "kept arrival misreported" (fun dst ->
+      if dst.Policy.evicted_n >= 0 then dst.Policy.kept_s <- not dst.Policy.kept_s);
+  caught "value rewritten" (fun dst ->
+      if dst.Policy.n > 0 then dst.Policy.values.(0) <- dst.Policy.values.(0) + 1)
+
 let test_recount_agrees () =
   let cfg = Ssj_workload.Config.tower () in
   let r, s = Ssj_workload.Config.predictors cfg in
@@ -288,6 +317,8 @@ let suite =
     Alcotest.test_case "sliding window blocks expired" `Quick
       test_window_blocks_expired;
     Alcotest.test_case "validation" `Quick test_validation_catches_cheating;
+    Alcotest.test_case "validation checks the step diff" `Quick
+      test_validation_checks_diff;
     Alcotest.test_case "recount agreement" `Quick test_recount_agrees;
     Alcotest.test_case "share sampling" `Quick test_share_samples;
     Alcotest.test_case "cache sim accounting" `Quick
