@@ -334,14 +334,15 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
         (match breakpoints with
         | Some acc -> acc := (!total_flow, !total_cost) :: !acc
         | None -> ());
-        (* Johnson potential update for reached nodes, capped at the
-           sink's distance: nodes the early-exit search did not settle
-           have dist ≥ dist(sink), so the cap keeps all reduced costs
+        (* Johnson potential update capped at the sink's distance: nodes
+           the early-exit search did not settle — including those it
+           never reached — have dist ≥ dist(sink), so adding
+           min(dist, dsink) to every potential keeps all reduced costs
            non-negative while charging unsettled nodes only what the
            finished path proved. *)
         let dsink = dist.(sink) in
         for v = 0 to g.n - 1 do
-          if dist.(v) < infinity_dist && pot.(v) < infinity_dist then
+          if pot.(v) < infinity_dist then
             pot.(v) <- pot.(v) +. min dist.(v) dsink
         done
       end

@@ -54,6 +54,15 @@ let test_warmup_start () =
   check_int "all in warmup" 0
     (Opt_offline.max_results_from ~trace:t ~capacity:1 ~start:3 ())
 
+let test_unreached_potentials () =
+  (* Band 1.  Every join here is worth taking and the four tuples that
+     carry them (S3@0, R5@1, S4@2, S3@3) fit in capacity 4: R5@1 joins
+     S4@2 and S6@4, and S3@0, S4@2 and S3@3 each join R4@4 — 5 results.
+     An early-exit Dijkstra that leaves the potentials of never-reached
+     nodes behind finds a non-shortest path later and stops at 4. *)
+  let t = trace [ 0; 5; 0; 0; 4 ] [ 3; 8; 4; 3; 6 ] in
+  check_int "optimum" 5 (Opt_offline.max_results ~band:1 ~trace:t ~capacity:4 ())
+
 (* Brute-force DP over all replacement sequences on tiny instances. *)
 let brute_force ~trace ~capacity =
   let tlen = Trace.length trace in
@@ -180,6 +189,8 @@ let suite =
     Alcotest.test_case "slot reuse" `Quick test_slot_reuse;
     Alcotest.test_case "eviction vs holding" `Quick test_eviction_vs_holding;
     Alcotest.test_case "warm-up accounting" `Quick test_warmup_start;
+    Alcotest.test_case "unreached nodes keep valid potentials" `Quick
+      test_unreached_potentials;
     prop_matches_brute_force;
     prop_dominates_online_policies;
     prop_monotone_in_capacity;
