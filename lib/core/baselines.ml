@@ -104,5 +104,6 @@ let life ~lifetime () =
 let prob_model ~partner_prob () =
   Policy.scored ~name:"PROB-model" (fun ~now:_ ~n ~uids ~values scores ->
       for i = 0 to n - 1 do
-        scores.(i) <- partner_prob (Tuple.of_uid ~uid:uids.(i) ~value:values.(i))
+        scores.(i) <-
+          partner_prob (Tuple.of_uid ~uid:uids.(i) ~value:values.(i))
       done)

@@ -1,12 +1,13 @@
 (** The unified cache-replacement-policy interface — Section 3.3's
     algorithm signature made executable.
 
-    A policy is a stateful decision procedure.  The simulator calls
-    [select] exactly once per time step, in time order, with the current
-    cache contents and the new arrivals; the policy returns the new cache
+    A policy is a stateful decision procedure.  The simulator calls it
+    exactly once per time step, in time order — through [fast] when the
+    policy has one, else through [select] — with the current cache
+    contents and the new arrivals; the policy returns the new cache
     contents (a subset of cached ∪ arrivals of size ≤ capacity).  State
     (history counts, predictors, incremental H values) lives inside the
-    closure.
+    closure, so one instance serves one run through one entry point.
 
     Two variants mirror the paper's two problems: {!join} for joining two
     streams and {!cache} for the caching problem (reference stream against

@@ -100,7 +100,8 @@ let check_step ~name ~now ~capacity ~(src : Policy.buffer)
     ~(dst : Policy.buffer) ~(r : Tuple.t) ~(s : Tuple.t) =
   let fail fmt =
     Printf.ksprintf
-      (fun msg -> failwith (Printf.sprintf "policy %s at t=%d: %s" name now msg))
+      (fun msg ->
+        failwith (Printf.sprintf "policy %s at t=%d: %s" name now msg))
       fmt
   in
   if dst.Policy.n > capacity then

@@ -43,9 +43,9 @@ val run :
     subset of cached ∪ arrivals, values intact, within capacity) and,
     when the policy reports one, its diff (evicted positions and kept
     arrivals), raising [Failure] on a violation — used by the test
-    suite, skipped in benchmarks.  [step_budget] (default unlimited) aborts the run with
-    {!Step_budget_exceeded} once that many steps have executed — the
-    supervised runner's per-run soft timeout. *)
+    suite, skipped in benchmarks.  [step_budget] (default unlimited)
+    aborts the run with {!Step_budget_exceeded} once that many steps
+    have executed — the supervised runner's per-run soft timeout. *)
 
 val matches_in_cache :
   ?window:Ssj_stream.Window.t ->

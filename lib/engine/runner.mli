@@ -131,8 +131,9 @@ val run_supervised :
 (** Evaluate [f run_index item] for every item over
     {!Ssj_prob.Parallel.try_map}.  A raising run is retried up to
     [supervision.retries] times with the same index and item; if every
-    attempt fails, a {!failure} is recorded and the sweep continues.  [per_run] keeps the completed
-    runs in input order, so results are independent of the job count.
+    attempt fails, a {!failure} is recorded and the sweep continues.
+    [per_run] keeps the completed runs in input order, so results are
+    independent of the job count.
     Checkpoint keys are ["<ckpt_context>|<label>|<run_index>"]
     ([ckpt_context] defaults to [""]); a key already present skips the
     run entirely and substitutes the recorded value bit-identically.

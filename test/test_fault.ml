@@ -1,6 +1,6 @@
 (* Fault-injection combinators: zero-severity identity (QCheck, with and
-   without the policy's fast step), per-kind behaviour at rate 1.0, determinism, regime
-   splices. *)
+   without the policy's fast step), per-kind behaviour at rate 1.0,
+   determinism, regime splices. *)
 
 open Ssj_prob
 open Ssj_stream

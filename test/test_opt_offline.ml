@@ -61,7 +61,8 @@ let test_unreached_potentials () =
      An early-exit Dijkstra that leaves the potentials of never-reached
      nodes behind finds a non-shortest path later and stops at 4. *)
   let t = trace [ 0; 5; 0; 0; 4 ] [ 3; 8; 4; 3; 6 ] in
-  check_int "optimum" 5 (Opt_offline.max_results ~band:1 ~trace:t ~capacity:4 ())
+  check_int "optimum" 5
+    (Opt_offline.max_results ~band:1 ~trace:t ~capacity:4 ())
 
 (* Brute-force DP over all replacement sequences on tiny instances. *)
 let brute_force ~trace ~capacity =

@@ -16,7 +16,9 @@ let test_keep_top () =
 
 let test_keep_top_tiebreak () =
   let old_t = tup Tuple.R 5 0 and new_t = tup Tuple.S 5 9 in
-  let kept = Policy.keep_top ~capacity:1 ~score:(fun _ -> 1.0) [ old_t; new_t ] in
+  let kept =
+    Policy.keep_top ~capacity:1 ~score:(fun _ -> 1.0) [ old_t; new_t ]
+  in
   check_bool "newer preferred" true (List.exists (Tuple.equal new_t) kept)
 
 let test_validate_selection () =

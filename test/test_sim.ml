@@ -97,9 +97,11 @@ let test_validation_checks_diff () =
       if dst.Policy.evicted_n > 0 then
         dst.Policy.evicted_n <- dst.Policy.evicted_n - 1);
   caught "kept arrival misreported" (fun dst ->
-      if dst.Policy.evicted_n >= 0 then dst.Policy.kept_s <- not dst.Policy.kept_s);
+      if dst.Policy.evicted_n >= 0 then
+        dst.Policy.kept_s <- not dst.Policy.kept_s);
   caught "value rewritten" (fun dst ->
-      if dst.Policy.n > 0 then dst.Policy.values.(0) <- dst.Policy.values.(0) + 1)
+      if dst.Policy.n > 0 then
+        dst.Policy.values.(0) <- dst.Policy.values.(0) + 1)
 
 let test_recount_agrees () =
   let cfg = Ssj_workload.Config.tower () in
