@@ -319,8 +319,6 @@ let suite =
     Alcotest.test_case "sliding window blocks expired" `Quick
       test_window_blocks_expired;
     Alcotest.test_case "validation" `Quick test_validation_catches_cheating;
-    Alcotest.test_case "validation checks the step diff" `Quick
-      test_validation_checks_diff;
     Alcotest.test_case "recount agreement" `Quick test_recount_agrees;
     Alcotest.test_case "share sampling" `Quick test_share_samples;
     Alcotest.test_case "cache sim accounting" `Quick
@@ -335,4 +333,6 @@ let suite =
       test_band_and_window_compose;
     Alcotest.test_case "runner summaries" `Quick test_runner_summaries;
     Alcotest.test_case "default warm-up" `Quick test_default_warmup;
+    Alcotest.test_case "validation checks the step diff" `Quick
+      test_validation_checks_diff;
   ]
