@@ -65,12 +65,11 @@ end
 let rand ~rng ?lifetime () =
   Policy.scored ~name:"RAND" (fun ~now ~n ~uids ~values scores ->
       for i = 0 to n - 1 do
-        Array.unsafe_set scores i
-          (if
-             alive lifetime ~now ~uid:(Array.unsafe_get uids i)
-               ~value:(Array.unsafe_get values i)
-           then Ssj_prob.Rng.float rng 1.0
-           else Float.neg_infinity)
+        if
+          alive lifetime ~now ~uid:(Array.unsafe_get uids i)
+            ~value:(Array.unsafe_get values i)
+        then Ssj_prob.Rng.float_into rng scores i
+        else Array.unsafe_set scores i Float.neg_infinity
       done)
 
 let prob ?lifetime () =

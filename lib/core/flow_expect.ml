@@ -96,7 +96,7 @@ let decide ?(solver = `Ssp) ?handle:h ~r ~s ~lookahead ~now:_ ~cached ~arrivals
   Obs.Counter.incr m_decides;
   let candidates = Array.of_list (cached @ arrivals) in
   let base = Array.length candidates in
-  let target = min capacity base in
+  let target = if capacity <= base then capacity else base in
   if target = 0 then { keep = []; expected_benefit = 0.0 }
   else begin
     let l = lookahead in

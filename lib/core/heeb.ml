@@ -130,10 +130,9 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
         done)
   | `Memo_trend speed ->
     (* H depends only on the trend-relative offset, so it is memoised by
-       (offset, side bit); the memo hit — one table probe per candidate —
-       is the per-step steady state.  H values are finite sums of
-       probability-weighted L values and never NaN, so NaN doubles as
-       the absence marker. *)
+       (offset, side bit); the memo hit — one table probe per candidate,
+       copying the stored H straight into the score array — is the
+       per-step steady state. *)
     Policy.scored ~name ~observe:(observe_into st)
       (fun ~now ~n ~uids ~values scores ->
         let shift = speed * now in
@@ -141,14 +140,11 @@ let joining ?name ~r ~s ~l ?(mode = `Direct) () =
           let bit = Array.unsafe_get uids i land 1 in
           let value = Array.unsafe_get values i in
           let key = ((value - shift) lsl 1) lor bit in
-          let h = Ssj_prob.Ftab.find_default st.memo key Float.nan in
-          Array.unsafe_set scores i
-            (if Float.is_nan h then begin
-               let h = direct_h_bit st ~l ~bit ~value in
-               Ssj_prob.Ftab.set st.memo key h;
-               h
-             end
-             else h)
+          if not (Ssj_prob.Ftab.find_into st.memo key scores i) then begin
+            let h = direct_h_bit st ~l ~bit ~value in
+            Ssj_prob.Ftab.set st.memo key h;
+            Array.unsafe_set scores i h
+          end
         done)
 
 let joining_curves ?name ~h_r_tuples ~h_s_tuples () =

@@ -159,8 +159,7 @@ type selector = {
   mutable uids : int array;
   mutable values : int array;
   mutable order : int array;
-  mutable scratch : int array;
-  mutable runs : int array; (* run boundaries, length >= n + 1 *)
+  mutable keys : float array; (* keys.(j) = scores.(order.(j)) while sorting *)
   mutable heap : int array; (* for n >> capacity *)
 }
 
@@ -171,8 +170,7 @@ let selector () =
     uids = [||];
     values = [||];
     order = [||];
-    scratch = [||];
-    runs = [||];
+    keys = [||];
     heap = [||];
   }
 
@@ -195,8 +193,7 @@ let ensure sel n =
     sel.uids <- uids;
     sel.values <- values;
     sel.order <- Array.make cap 0;
-    sel.scratch <- Array.make cap 0;
-    sel.runs <- Array.make (cap + 1) 0
+    sel.keys <- Array.make cap 0.0
   end
 
 (* Append the list's tuples (and their uids and values) starting at slot
@@ -211,153 +208,49 @@ let rec fill sel i = function
     Array.unsafe_set sel.values i t.Tuple.value;
     fill sel (i + 1) rest
 
-(* [before scores uids a b]: candidate index [a] strictly precedes [b] in
-   best-first order — higher score first, then higher (newer) uid.  This
-   is exactly {!keep_top_spec}'s comparison [Float.compare s_b s_a < 0 ||
-   (= 0 && uid_a > uid_b)] with Float.compare's total order (NaN below
-   every number) spelled out as monomorphic float tests, so the sort
-   below runs without closure dispatch or boxing. *)
-let before (scores : float array) (uids : int array) (a : int) (b : int) =
-  let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
-  if sa > sb then true
-  else if sa < sb then false
-  else if sa = sb then Array.unsafe_get uids a > Array.unsafe_get uids b
-  else begin
-    (* At least one NaN (never produced by in-repo policies). *)
-    let na = sa <> sa and nb = sb <> sb in
-    if na && nb then Array.unsafe_get uids a > Array.unsafe_get uids b else nb
-  end
+(* [precedes sa ua sb ub]: the candidate with score [sa] and uid [ua]
+   strictly precedes the one with [sb], [ub] in best-first order — higher
+   score first, then higher (newer) uid.  This is exactly
+   {!keep_top_spec}'s comparison [Float.compare sb sa < 0 || (= 0 && ua >
+   ub)] with Float.compare's total order spelled out as monomorphic float
+   tests: [-0.0 = 0.0], and NaN equals NaN and sits below every number,
+   -infinity included (the last disjunct; no in-repo policy scores
+   NaN). *)
+let[@inline] precedes (sa : float) (ua : int) (sb : float) (ub : int) =
+  sa > sb || (sa = sb && ua > ub) || (sb <> sb && (sa = sa || ua > ub))
 
-let merge (scores : float array) (uids : int array) (src : int array)
-    (dst : int array) lo mid hi =
-  let i = ref lo and j = ref mid and k = ref lo in
-  while !i < mid && !j < hi do
-    let a = Array.unsafe_get src !i and b = Array.unsafe_get src !j in
-    let sa = Array.unsafe_get scores a and sb = Array.unsafe_get scores b in
-    if sa = sb || sa <> sa || sb <> sb then begin
-      (* Equal scores or NaN: rare; the full comparison decides. *)
-      if before scores uids b a then begin
-        Array.unsafe_set dst !k b;
-        incr j
-      end
-      else begin
-        Array.unsafe_set dst !k a;
-        incr i
-      end;
-      incr k
-    end
-    else begin
-      (* Distinct finite scores: branch-free select.  Merging random
-         score orders (RAND redraws every step) makes this comparison
-         inherently unpredictable — data dependences beat the ~50%
-         branch-mispredict tax. *)
-      let t = Bool.to_int (sb > sa) in
-      Array.unsafe_set dst !k (a + (t * (b - a)));
-      j := !j + t;
-      i := !i + 1 - t;
-      incr k
-    end
+let[@inline] before (scores : float array) (uids : int array) a b =
+  precedes (Array.unsafe_get scores a) (Array.unsafe_get uids a)
+    (Array.unsafe_get scores b) (Array.unsafe_get uids b)
+
+(* Sort the candidate indices [order.(0 .. len-1)] best-first by straight
+   insertion.  Each index carries its score in the parallel [keys]
+   (filled here in the same order, then permuted alongside), so the inner
+   loop compares and shifts sequential unboxed floats instead of chasing
+   [scores.(order.(j))].  Stable.  The simulator's steady-state sort has
+   ~27 candidates and ~50 inversions, where insertion beats run
+   detection and merging. *)
+let sort_best_first (keys : float array) (scores : float array)
+    (uids : int array) (order : int array) len =
+  for j = 0 to len - 1 do
+    Array.unsafe_set keys j (Array.unsafe_get scores (Array.unsafe_get order j))
   done;
-  (* Only one side can be non-empty; blit the drain (this is the whole
-     merge when a long run of equal scores sits at the tail, e.g. a block
-     of expired candidates all scored -inf). *)
-  if !i < mid then Array.blit src !i dst !k (mid - !i)
-  else if !j < hi then Array.blit src !j dst !k (hi - !j)
-
-(* Natural-run merge sort of the candidate indices in [arr.(0 .. len-1)],
-   best-first; stable; returns the array holding the sorted result ([arr]
-   or [scratch]).  Adaptive on the simulator's actual step shapes:
-
-   - candidates already in score order (the cache was sorted by last
-     step's scores and many policies move scores coherently): one O(len)
-     scan, no merging;
-   - a long sorted prefix plus a handful of stragglers (typical when only
-     the two arrivals and a few drifting scores are out of place): binary
-     insertion of the tail, no full-width merge pass;
-   - otherwise: merge the cheapest adjacent run pair first, so small runs
-     coalesce among themselves before anything walks a long run (e.g.
-     RAND's block of equally-scored dead candidates at the tail). *)
-let sort_candidates (scores : float array) (uids : int array)
-    (arr : int array) (scratch : int array) (runs : int array) len =
-  let m = ref 1 in
-  runs.(0) <- 0;
   for i = 1 to len - 1 do
-    let cur = Array.unsafe_get arr i and prev = Array.unsafe_get arr (i - 1) in
-    let sc = Array.unsafe_get scores cur
-    and sp = Array.unsafe_get scores prev in
-    if sc <> sc || sp <> sp then begin
-      if before scores uids cur prev then begin
-        runs.(!m) <- i;
-        incr m
-      end
-    end
-    else begin
-      (* Branch-free [before scores uids cur prev]: store the would-be
-         boundary unconditionally (the next store overwrites a dead one)
-         and advance [m] by the comparison bit — random score orders
-         would otherwise mispredict on half the elements. *)
-      Array.unsafe_set runs !m i;
-      let boundary =
-        Bool.to_int (sc > sp)
-        lor (Bool.to_int (sc = sp)
-            land Bool.to_int
-                   (Array.unsafe_get uids cur > Array.unsafe_get uids prev))
-      in
-      m := !m + boundary
-    end
-  done;
-  runs.(!m) <- len;
-  if !m = 1 then arr
-  else if runs.(1) >= len - 8 then begin
-    (* Long sorted prefix: binary-insert each straggler.  Inserting at the
-       upper bound (first position the straggler strictly precedes) keeps
-       equal elements in candidate order — the same stability the merge
-       gives. *)
-    for i = runs.(1) to len - 1 do
-      let x = Array.unsafe_get arr i in
-      let lo = ref 0 and hi = ref i in
-      while !lo < !hi do
-        let mid = (!lo + !hi) lsr 1 in
-        if before scores uids x (Array.unsafe_get arr mid) then hi := mid
-        else lo := mid + 1
-      done;
-      if !lo < i then begin
-        Array.blit arr !lo arr (!lo + 1) (i - !lo);
-        arr.(!lo) <- x
-      end
+    let x = Array.unsafe_get order i and kx = Array.unsafe_get keys i in
+    let ux = Array.unsafe_get uids x in
+    let j = ref (i - 1) in
+    while
+      !j >= 0
+      && precedes kx ux (Array.unsafe_get keys !j)
+           (Array.unsafe_get uids (Array.unsafe_get order !j))
+    do
+      Array.unsafe_set order (!j + 1) (Array.unsafe_get order !j);
+      Array.unsafe_set keys (!j + 1) (Array.unsafe_get keys !j);
+      decr j
     done;
-    arr
-  end
-  else begin
-    (* Bottom-up passes merging adjacent run pairs, ping-ponging between
-       [arr] and [scratch].  The blit drain in [merge] makes a long
-       equal-score run (RAND's block of dead candidates at the tail) cost
-       one comparison stretch plus a memmove per pass rather than an
-       element-wise walk. *)
-    let src = ref arr and dst = ref scratch in
-    while !m > 1 do
-      let k = ref 0 and r = ref 0 in
-      while !r < !m do
-        let lo = runs.(!r) in
-        if !r + 1 < !m then begin
-          merge scores uids !src !dst lo runs.(!r + 1) runs.(!r + 2);
-          r := !r + 2
-        end
-        else begin
-          Array.blit !src lo !dst lo (runs.(!r + 1) - lo);
-          r := !r + 1
-        end;
-        runs.(!k) <- lo;
-        incr k
-      done;
-      runs.(!k) <- len;
-      m := !k;
-      let tmp = !src in
-      src := !dst;
-      dst := tmp
-    done;
-    !src
-  end
+    Array.unsafe_set order (!j + 1) x;
+    Array.unsafe_set keys (!j + 1) kx
+  done
 
 let rec build_result (items : Tuple.t array) (order : int array) i acc =
   if i < 0 then acc
@@ -378,7 +271,8 @@ let top_indices sel (scores : float array) (uids : int array) n capacity =
     for i = 0 to n - 1 do
       Array.unsafe_set order i i
     done;
-    sort_candidates scores uids order sel.scratch sel.runs n
+    sort_best_first sel.keys scores uids order n;
+    order
   end
   else begin
     (* n >> capacity: size-[capacity] heap with the worst survivor at
@@ -421,7 +315,8 @@ let top_indices sel (scores : float array) (uids : int array) n capacity =
         done
       end
     done;
-    sort_candidates scores uids heap sel.scratch sel.runs capacity
+    sort_best_first sel.keys scores uids heap capacity;
+    heap
   end
 
 (* List selection behind {!select_top} and {!scored}'s [select]: the

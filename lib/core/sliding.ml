@@ -8,8 +8,9 @@ open Ssj_model
    tabulated once up to hmax = min(horizon, width); a tuple that arrived
    at or before [now] never has more than [width] steps left.  The
    partner laws depend only on the predictors, so they are tabulated once
-   per step for both sides; a score is then one Pmf.discounted_at sweep
-   over the partner's table, in Hvalue.joining's summation order. *)
+   per step for both sides; a score is then one Pmf.discounted_into sweep
+   over the partner's table, in Hvalue.joining's summation order, written
+   straight into the caller's score array. *)
 type scorer = {
   width : int;
   hmax : int;
@@ -36,13 +37,20 @@ let refresh sc ~r ~s =
     sc.s_laws.(d) <- s.Predictor.pmf d
   done
 
-let score sc ~now ~uid ~value =
+let score_into sc ~now ~uid ~value scores i =
   let remaining = (uid asr 1) + sc.width - now in
-  if remaining <= 0 then Float.neg_infinity
+  if remaining <= 0 then scores.(i) <- Float.neg_infinity
   else
-    Pmf.discounted_at
+    Pmf.discounted_into
       (if uid land 1 = 0 then sc.s_laws else sc.r_laws)
-      ~weights:sc.weights ~upto:(min sc.hmax remaining) value
+      ~weights:sc.weights
+      ~upto:(if sc.hmax <= remaining then sc.hmax else remaining)
+      value scores i
+
+let score sc ~now ~uid ~value =
+  let out = [| 0.0 |] in
+  score_into sc ~now ~uid ~value out 0;
+  out.(0)
 
 let heeb ?name ~r ~s ~alpha ~window () =
   let sc = scorer ~alpha ~window in
@@ -60,9 +68,8 @@ let heeb ?name ~r ~s ~alpha ~window () =
   Policy.scored ~name ~observe (fun ~now ~n ~uids ~values scores ->
       refresh sc ~r:!r_pred ~s:!s_pred;
       for i = 0 to n - 1 do
-        Array.unsafe_set scores i
-          (score sc ~now ~uid:(Array.unsafe_get uids i)
-             ~value:(Array.unsafe_get values i))
+        score_into sc ~now ~uid:(Array.unsafe_get uids i)
+          ~value:(Array.unsafe_get values i) scores i
       done)
 
 let stationary_score ~alpha ~p ~remaining_lifetime =

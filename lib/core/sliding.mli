@@ -17,14 +17,16 @@ val heeb :
   Policy.join
 (** Windowed HEEB for the joining problem: each candidate is scored with
     [L_exp(α)] truncated at its remaining window lifetime.  Both [select]
-    and the array-native [fast] path score through {!score}, so the two
-    decide identically. *)
+    and the array-native [fast] path run the one scoring kernel {!score}
+    exposes, so the two decide identically. *)
 
 (** {2 The windowed-HEEB score}
 
-    The one scoring function behind {!heeb}, exposed so it can be checked
-    against its definition.  For a candidate with remaining lifetime
-    [remaining = arrival + width − now > 0] against partner predictor [P],
+    The one scoring kernel behind {!heeb} (which writes each score straight
+    into the step's score array), exposed one candidate at a time so it
+    can be checked against its definition.  For a candidate with
+    remaining lifetime [remaining = arrival + width − now > 0] against
+    partner predictor [P],
     {!score} is bit-identical to
     [Hvalue.joining ~partner:P ~l:(Lfun.windowed (Lfun.exp_ ~alpha)
     ~remaining)]; an expired candidate scores [neg_infinity].  Candidates
@@ -45,7 +47,8 @@ val refresh :
 val score : scorer -> now:int -> uid:int -> value:int -> float
 (** Score of the tuple with this uid ([2·arrival + side], side R = 0) and
     value, against the partner side's laws from the last {!refresh}.
-    Allocates only the returned float. *)
+    The test-facing view: it allocates a one-slot array and the returned
+    float, which the policy's loop does not. *)
 
 val stationary_score :
   alpha:float -> p:float -> remaining_lifetime:int -> float

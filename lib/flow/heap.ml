@@ -1,6 +1,9 @@
-type 'a t = {
+(* Monomorphic on purpose: an [int array] of payloads swaps without the
+   [caml_modify] write barrier and the float-array tag check a polymorphic
+   ['a array] pays on every store. *)
+type t = {
   mutable prios : float array;
-  mutable items : 'a array;
+  mutable items : int array;
   mutable len : int;
 }
 
@@ -9,12 +12,12 @@ let is_empty h = h.len = 0
 let size h = h.len
 let clear h = h.len <- 0
 
-let grow h item =
+let grow h =
   let cap = Array.length h.prios in
   if h.len = cap then begin
     let cap' = max 16 (2 * cap) in
     let prios' = Array.make cap' 0.0 in
-    let items' = Array.make cap' item in
+    let items' = Array.make cap' 0 in
     Array.blit h.prios 0 prios' 0 h.len;
     Array.blit h.items 0 items' 0 h.len;
     h.prios <- prios';
@@ -55,7 +58,7 @@ let rec sift_down h i =
   end
 
 let push h prio item =
-  grow h item;
+  grow h;
   h.prios.(h.len) <- prio;
   h.items.(h.len) <- item;
   h.len <- h.len + 1;
@@ -77,11 +80,6 @@ let pop_min h =
   if h.len = 0 then None
   else begin
     let result = (h.prios.(0), h.items.(0)) in
-    h.len <- h.len - 1;
-    if h.len > 0 then begin
-      h.prios.(0) <- h.prios.(h.len);
-      h.items.(0) <- h.items.(h.len);
-      sift_down h 0
-    end;
+    drop_min h;
     Some result
   end

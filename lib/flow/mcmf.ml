@@ -35,7 +35,7 @@ type t = {
   mutable flag : bool array; (* Bellman–Ford in-queue marks *)
   mutable order : int array; (* topological order scratch *)
   mutable indegree : int array;
-  heap : int Heap.t;
+  heap : Heap.t;
 }
 
 let create n =
@@ -213,8 +213,10 @@ let dijkstra g source sink pot dist pred_arc heap =
             let pv = Array.unsafe_get pot v in
             if pv < infinity_dist then begin
               (* Reduced cost is non-negative in exact arithmetic; clamp
-                 tiny negatives from float rounding. *)
-              let rc = max 0.0 (Array.unsafe_get cost a +. pu -. pv) in
+                 tiny negatives from float rounding ([Stdlib.max 0.0],
+                 spelled out so no polymorphic compare runs per arc). *)
+              let c = Array.unsafe_get cost a +. pu -. pv in
+              let rc = if 0.0 >= c then 0.0 else c in
               let nd = du +. rc in
               if nd < Array.unsafe_get dist v -. 1e-15 then begin
                 Array.unsafe_set dist v nd;
@@ -316,9 +318,12 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
         let rec bottleneck v acc =
           let a = pred_arc.(v) in
           if a < 0 then acc
-          else bottleneck g.to_.(a lxor 1) (min acc g.cap.(a))
+          else
+            let c = g.cap.(a) in
+            bottleneck g.to_.(a lxor 1) (if acc <= c then acc else c)
         in
-        let push = min (bottleneck sink max_int) (target - !total_flow) in
+        let b = bottleneck sink max_int and left = target - !total_flow in
+        let push = if b <= left then b else left in
         let rec apply v =
           let a = pred_arc.(v) in
           if a >= 0 then begin
@@ -342,8 +347,11 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
            finished path proved. *)
         let dsink = dist.(sink) in
         for v = 0 to g.n - 1 do
-          if pot.(v) < infinity_dist then
-            pot.(v) <- pot.(v) +. min dist.(v) dsink
+          let pv = Array.unsafe_get pot v in
+          if pv < infinity_dist then begin
+            let dv = Array.unsafe_get dist v in
+            Array.unsafe_set pot v (pv +. if dv <= dsink then dv else dsink)
+          end
         done
       end
     end

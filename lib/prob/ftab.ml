@@ -47,9 +47,13 @@ let grow t =
 
 let mem t k = t.keys.(slot t k) = k
 
-let find_default t k d =
+let find_into t k (dst : float array) j =
   let i = slot t k in
-  if Array.unsafe_get t.keys i = k then Array.unsafe_get t.vals i else d
+  if Array.unsafe_get t.keys i = k then begin
+    dst.(j) <- Array.unsafe_get t.vals i;
+    true
+  end
+  else false
 
 let set t k v =
   if k = empty_key then invalid_arg "Ftab.set: reserved key";

@@ -9,7 +9,10 @@ type t
 val create : ?size:int -> unit -> t
 val mem : t -> int -> bool
 
-val find_default : t -> int -> float -> float
-(** [find_default t k d] is the value bound to [k], or [d] if absent. *)
+val find_into : t -> int -> float array -> int -> bool
+(** [find_into t k dst j] stores the value bound to [k] into [dst.(j)] and
+    returns [true], or returns [false] leaving [dst] untouched if [k] is
+    absent.  The value never leaves unboxed storage, so a lookup
+    allocates nothing even where the call is not inlined. *)
 
 val set : t -> int -> float -> unit

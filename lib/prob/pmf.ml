@@ -207,7 +207,9 @@ let mix weighted =
 let dot a b =
   (* Direct overlap loop; same ascending accumulation order as folding
      either support (out-of-overlap terms add exactly +0.0). *)
-  let l = max a.lo b.lo and h = min (hi a) (hi b) in
+  let ha = hi a and hb = hi b in
+  let l = if a.lo >= b.lo then a.lo else b.lo
+  and h = if ha <= hb then ha else hb in
   let acc = ref 0.0 in
   for v = l to h do
     acc :=
@@ -235,7 +237,7 @@ let add_into t ~dst ~lo:dlo ~scale =
       (Array.unsafe_get dst i +. (scale *. Array.unsafe_get t.probs (v - t.lo)))
   done
 
-let discounted_at laws ~weights ~upto v =
+let discounted_into laws ~weights ~upto v (dst : float array) j =
   let acc = ref 0.0 in
   for d = 1 to upto do
     let t = Array.unsafe_get laws d in
@@ -245,7 +247,7 @@ let discounted_at laws ~weights ~upto v =
       if p > 0.0 then acc := !acc +. (p *. Array.unsafe_get weights d)
     end
   done;
-  !acc
+  dst.(j) <- !acc
 
 let equal ?(eps = 1e-9) a b =
   let l = min a.lo b.lo and h = max (hi a) (hi b) in

@@ -108,17 +108,17 @@ val add_into : t -> dst:float array -> lo:int -> scale:float -> unit
     over the overlap — the accumulation kernel of the precomputation DPs,
     replacing a bounds-checked [prob] per cell. *)
 
-val discounted_at :
-  t array -> weights:float array -> upto:int -> int -> float
-(** [discounted_at laws ~weights ~upto v] =
-    [Σ_{d=1..upto, Pr>0} Pr{X_d = v}·weights.(d)] where [laws.(d)] is the
-    law of [X_d] — the windowed-HEEB score of value [v] against a table
-    of partner laws.  No allocation beyond the returned float.  Terms are
-    added in increasing [d] and zero-probability terms are skipped,
-    exactly the summation order of [Hvalue.joining] (ssj_core), so the
-    result is bit-identical to it for the same laws and weights.  Index
-    0 of both arrays is unused; requires [upto < Array.length] of each
-    (not checked). *)
+val discounted_into :
+  t array -> weights:float array -> upto:int -> int -> float array -> int -> unit
+(** [discounted_into laws ~weights ~upto v dst j] stores
+    [Σ_{d=1..upto, Pr>0} Pr{X_d = v}·weights.(d)] into [dst.(j)], where
+    [laws.(d)] is the law of [X_d] — the windowed-HEEB score of value [v]
+    against a table of partner laws.  No allocation: the sum never leaves
+    unboxed storage.  Terms are added in increasing [d] and
+    zero-probability terms are skipped, exactly the summation order of
+    [Hvalue.joining] (ssj_core), so the result is bit-identical to it for
+    the same laws and weights.  Index 0 of [laws] and [weights] is
+    unused; requires [upto <] the length of each (not checked). *)
 
 module Dense : sig
   (** No-allocation kernels on raw probability vectors (dense float

@@ -12,6 +12,21 @@ let int rng n =
   Random.State.int rng n
 
 let float rng x = Random.State.float rng x
+
+(* The stdlib's own LXM step, declared with its unboxed native entry so
+   the 64-bit draw stays in a register. *)
+external lxm_next : Random.State.t -> (int64[@unboxed])
+  = "caml_lxm_next" "caml_lxm_next_unboxed"
+[@@noalloc]
+
+(* [Random.State.float rng 1.0] step for step: the top 53 bits of one
+   draw scaled by 2^-53, redrawn while they are all zero ([x *. 1.0 = x],
+   so the stdlib's final scaling by the bound changes no bit). *)
+let rec float_into rng (dst : float array) i =
+  let n = Int64.shift_right_logical (lxm_next rng) 11 in
+  if n <> 0L then dst.(i) <- Int64.to_float n *. 0x1.p-53
+  else float_into rng dst i
+
 let bool rng = Random.State.bool rng
 let bernoulli rng p = Random.State.float rng 1.0 < p
 

@@ -23,6 +23,11 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float rng x] draws uniformly from [0, x). *)
 
+val float_into : t -> float array -> int -> unit
+(** [float_into rng dst i] stores [float rng 1.0] into [dst.(i)]: the same
+    bits, leaving [rng] in the same state, without boxing the draw — the
+    per-candidate kernel of RAND's scoring loop. *)
+
 val bool : t -> bool
 (** Fair coin flip. *)
 

@@ -5,13 +5,13 @@ open Helpers
 
 let test_heap_orders () =
   let h = Heap.create () in
-  List.iter (fun (p, x) -> Heap.push h p x) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
+  List.iter (fun (p, x) -> Heap.push h p x) [ (3.0, 30); (1.0, 10); (2.0, 20) ];
   check_int "size" 3 (Heap.size h);
-  let pop () = match Heap.pop_min h with Some (_, x) -> x | None -> "?" in
+  let pop () = match Heap.pop_min h with Some (_, x) -> x | None -> -1 in
   let first = pop () in
   let second = pop () in
   let third = pop () in
-  Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c" ]
+  Alcotest.(check (list int)) "sorted" [ 10; 20; 30 ]
     [ first; second; third ];
   check_bool "empty" true (Heap.is_empty h)
 

@@ -308,6 +308,57 @@ let test_runner_summaries () =
 let test_default_warmup () =
   check_int "4x rule" 40 (Runner.default_warmup ~capacity:10)
 
+(* --- allocation guard -------------------------------------------------- *)
+
+(* Minor-heap words a policy allocates per step: the difference between a
+   run over [trace] and a run over its first half, so per-run setup
+   cancels out.  Each run gets a fresh policy, built outside the
+   measurement; the arrival tuples every replay shares are materialised
+   first. *)
+let words_per_step ~trace ~capacity make =
+  let n = Trace.length trace in
+  let half =
+    Trace.of_values
+      ~r:(Array.sub trace.Trace.r_values 0 (n / 2))
+      ~s:(Array.sub trace.Trace.s_values 0 (n / 2))
+  in
+  let words tr =
+    ignore (Trace.arrivals tr 0);
+    let policy = make () in
+    let w0 = Gc.minor_words () in
+    ignore (Join_sim.run ~trace:tr ~policy ~capacity ());
+    Gc.minor_words () -. w0
+  in
+  let full = words trace in
+  (full -. words half) /. float_of_int (n - (n / 2))
+
+let test_allocation_per_step () =
+  let within name words bound =
+    if words > bound then
+      Alcotest.failf "%s allocates %.2f words per step (bound %.0f)" name words
+        bound
+  in
+  let cfg = Ssj_workload.Config.tower () in
+  let r, s = Ssj_workload.Config.predictors cfg in
+  let trace = Trace.generate ~r ~s ~rng:(rng 8) ~length:4000 in
+  List.iter
+    (fun (name, make) ->
+      within name
+        (words_per_step ~trace ~capacity:25 make)
+        (if name = "HEEB" then 48.0 else 0.0))
+    (Ssj_workload.Factory.trend_policies cfg ~seed:1 ());
+  (* FlowExpect allocates per decide: the plan list, the law tables, the
+     graph build, the boxed heap priorities.  The bound sits above that
+     and well below what a generic float [min]/[max] on the solver's
+     per-arc or per-node work adds (about 37,000 words per decide). *)
+  let cfg = Ssj_workload.Config.floor () in
+  let r, s = Ssj_workload.Config.predictors cfg in
+  let trace = Trace.generate ~r ~s ~rng:(rng 7) ~length:500 in
+  within "FLOWEXPECT"
+    (words_per_step ~trace ~capacity:20
+       (Ssj_workload.Factory.trend_flow_expect cfg ~lookahead:10))
+    20_000.0
+
 let suite =
   [
     Alcotest.test_case "join counting" `Quick test_join_counts_basic;
@@ -335,4 +386,5 @@ let suite =
     Alcotest.test_case "default warm-up" `Quick test_default_warmup;
     Alcotest.test_case "validation checks the step diff" `Quick
       test_validation_checks_diff;
+    Alcotest.test_case "allocation per step" `Quick test_allocation_per_step;
   ]

@@ -77,6 +77,24 @@ let test_shuffle_preserves_elements () =
   Array.sort compare b;
   Alcotest.(check (array int)) "permutation" a b
 
+(* [Rng.float_into] is RAND's unboxed draw: every value must carry the
+   same bits as [Rng.float rng 1.0] from an identically seeded generator,
+   and the two generators must end in the same state. *)
+let prop_float_into_matches_float =
+  qcheck "float_into = float 1.0"
+    QCheck2.Gen.(pair (int_range 0 1_000_000) (int_range 0 300))
+    (fun (seed, draws) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let dst = Array.make (max 1 draws) 0.0 in
+      let same = ref true in
+      for i = 0 to draws - 1 do
+        Rng.float_into a dst i;
+        let x = Rng.float b 1.0 in
+        if Int64.bits_of_float dst.(i) <> Int64.bits_of_float x then
+          same := false
+      done;
+      !same && Rng.int a 1_000_000 = Rng.int b 1_000_000)
+
 let suite =
   [
     Alcotest.test_case "mean/variance" `Quick test_mean_variance;
@@ -93,4 +111,5 @@ let suite =
     Alcotest.test_case "bernoulli" `Slow test_bernoulli;
     Alcotest.test_case "shuffle preserves elements" `Quick
       test_shuffle_preserves_elements;
+    prop_float_into_matches_float;
   ]
