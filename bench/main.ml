@@ -87,11 +87,12 @@ let bench_fig15_kernel () =
       x := !x +. Interp.Surface.eval surface 180.0 220.0)
 
 let bench_fig19_kernel ?(warm = true) lookahead =
-  (* One FlowExpect decision: graph build + min-cost-flow solve.  [warm]
-     reuses one {!Flow_expect.handle} across iterations — the steady
-     state of the online policy, which holds a handle per instance; the
-     cold variant pays graph allocation and law recomputation each call.
-     Decisions are bit-identical either way. *)
+  (* One FlowExpect decision: law tables, graph build and min-cost-flow
+     solve.  [warm] reuses one {!Flow_expect.handle} across iterations,
+     so the solver's graph arena is reset rather than reallocated — the
+     steady state of the online policy, which holds a handle per
+     instance; the cold variant also pays that allocation.  Decisions
+     are bit-identical either way. *)
   let r, s = Config.predictors (Config.floor ()) in
   let r = Predictor.advance r [| 0 |] and s = Predictor.advance s [| 1 |] in
   let cached =
@@ -104,7 +105,7 @@ let bench_fig19_kernel ?(warm = true) lookahead =
   let handle = if warm then Some (Flow_expect.handle ()) else None in
   Staged.stage (fun () ->
       ignore
-        (Flow_expect.decide ?handle ~r ~s ~lookahead ~now:0 ~cached ~arrivals
+        (Flow_expect.decide ?handle ~r ~s ~lookahead ~cached ~arrivals
            ~capacity:10 ()))
 
 let bench_fig13_surface_build () =
@@ -212,32 +213,8 @@ module Obs = Ssj_obs.Obs
    evictions per step, and the four policies separate. *)
 let sweep_capacity = 25
 
-(* The old degenerate configuration, still run once per bench pass: its
-   wall-clock is directly comparable with the previously checked-in
-   artifact (the obs layer's disabled-overhead measure) and its
-   still-coincident means document why it was replaced. *)
-let legacy_capacity = 50
-
-(* The seed tree (pre-optimisation) runs the legacy capacity-50 sweep —
-   all four joining policies on the shared full-scale TOWER traces — in
-   5.530 s on the reference host; recorded so BENCH_joining.json carries
-   the speedup alongside the absolute time.  Only meaningful at the
-   canonical 50 x 5000 scale. *)
-let legacy_baseline_wall_s = 5.530
-
-(* The previous checked-in BENCH_joining.json (before the observability
-   layer): legacy-sweep wall and the degenerate policy block, emitted
-   verbatim under the artifact's "baseline" key. *)
-let prev_legacy_wall_s = 1.564
-
-let prev_legacy_policies =
-  [ ("RAND", 4039.6600, 47.0586); ("PROB", 4039.6600, 47.0586);
-    ("LIFE", 4039.6600, 47.0586); ("HEEB", 4039.6600, 47.0586) ]
-
-(* Pre-fast-kernels wall of the legacy sweep, kept because the CI kernel
-   gate anchors on the pre-optimisation numbers below. *)
-let prev_wall_s = 1.643
-
+(* Pre-fast-kernels kernel times: the anchor the CI kernel gate reads
+   from the artifact's "baseline" block. *)
 let prev_kernels_ns =
   [
     ("kernels/fig13:HEEB-h2-365-days", 522291656.0);
@@ -279,14 +256,15 @@ let shared_traces ~runs ~length =
 let sweep_setup ~capacity =
   { Runner.capacity; warmup = Runner.default_warmup ~capacity; window = None }
 
-let run_sweep ~label ~capacity ~reps traces =
+let run_sweep traces =
   let runs = Array.length traces in
   let length = if runs = 0 then 0 else Trace.length traces.(0) in
+  let capacity = sweep_capacity in
   let setup = sweep_setup ~capacity in
   let jobs = Parallel.default_jobs () in
   (* The sweep is deterministic (fresh policies, fixed trace seeds), so
-     repetitions measure the same computation; report the best of [reps]
-     to shed first-iteration warm-up, like the bechamel section does. *)
+     repetitions measure the same computation; report the best of 5 to
+     shed first-iteration warm-up, like the bechamel section does. *)
   let measure () =
     let t0 = Unix.gettimeofday () in
     let summaries =
@@ -296,7 +274,7 @@ let run_sweep ~label ~capacity ~reps traces =
     in
     (Unix.gettimeofday () -. t0, summaries)
   in
-  let measured = List.init reps (fun _ -> measure ()) in
+  let measured = List.init 5 (fun _ -> measure ()) in
   let wall_reps = List.map fst measured in
   let wall_s = List.fold_left Float.min Float.infinity wall_reps in
   let summaries = snd (List.hd measured) in
@@ -304,21 +282,17 @@ let run_sweep ~label ~capacity ~reps traces =
     { runs; length; sweep_capacity = capacity; jobs; wall_s; wall_reps;
       summaries }
   in
-  Format.printf "@.== %s wall-clock (%d runs x %d, capacity %d, %d job%s) \
-                 ==@."
-    label runs length capacity jobs
+  Format.printf "@.== fig8 sweep wall-clock (%d runs x %d, capacity %d, %d \
+                 job%s) ==@."
+    runs length capacity jobs
     (if jobs = 1 then "" else "s");
   List.iter
     (fun s ->
       Format.printf "  %-6s mean=%.2f stddev=%.2f@." s.Runner.label
         s.Runner.mean s.Runner.stddev)
     summaries;
-  Format.printf "  wall: %.3f s (best of %s)" wall_s
+  Format.printf "  wall: %.3f s (best of %s)@." wall_s
     (String.concat "/" (List.map (Printf.sprintf "%.3f") wall_reps));
-  if capacity = legacy_capacity && canonical sweep then
-    Format.printf " (seed baseline %.3f s, %.2fx)" legacy_baseline_wall_s
-      (legacy_baseline_wall_s /. wall_s);
-  Format.printf "@.";
   sweep
 
 (* A benchmark whose policy dimension has collapsed must never be
@@ -535,22 +509,6 @@ let run_robustness_pass sweep traces =
     sal (sal + nfail) nfail demo.Runner.checkpoint_hits;
   { report; demo; demo_runs = Array.length traces; fault_counters }
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let out_robustness_block oc rb =
   let out fmt = Printf.fprintf oc fmt in
   let report = rb.report in
@@ -562,7 +520,7 @@ let out_robustness_block oc rb =
     out "    %S: [\n" name;
     List.iteri
       (fun i (row : Experiments.robustness_row) ->
-        out "      {\"fault\": %s, \"policies\": [" (json_string row.fault);
+        out "      {\"fault\": %s, \"policies\": [" (Obs.json_string row.fault);
         List.iteri
           (fun j (c : Experiments.robustness_cell) ->
             out "%s{\"name\": %S, \"mean\": %.4f, \"degradation\": %.4f}"
@@ -588,71 +546,38 @@ let out_robustness_block oc rb =
       out
         "        {\"policy\": %s, \"run\": %d, \"attempts\": %d, \"error\": \
          %s}%s\n"
-        (json_string f.Runner.policy) f.Runner.run f.Runner.attempts
-        (json_string f.Runner.error)
+        (Obs.json_string f.Runner.policy) f.Runner.run f.Runner.attempts
+        (Obs.json_string f.Runner.error)
         (if i = List.length rb.demo.Runner.failures - 1 then "" else ","))
     rb.demo.Runner.failures;
   out "      ]\n    },\n";
   out "    \"fault_counters\": %s\n" rb.fault_counters
 
-let out_sweep_block oc ~indent sweep ~baseline_wall =
+let write_json path sweep obs robustness kernels =
+  let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
-  let pad = String.make indent ' ' in
-  out "%s\"runs\": %d,\n%s\"length\": %d,\n%s\"capacity\": %d,\n" pad
-    sweep.runs pad sweep.length pad sweep.sweep_capacity;
-  out "%s\"jobs\": %d,\n%s\"wall_s\": %.3f,\n" pad sweep.jobs pad sweep.wall_s;
-  out "%s\"wall_s_reps\": [%s],\n" pad
+  out "{\n  \"schema_version\": 4,\n";
+  out "  \"benchmark\": \"fig8-style joining sweep (TOWER, seed 42)\",\n";
+  out "  \"sweep\": {\n";
+  out "    \"runs\": %d,\n    \"length\": %d,\n    \"capacity\": %d,\n"
+    sweep.runs sweep.length sweep.sweep_capacity;
+  out "    \"jobs\": %d,\n    \"wall_s\": %.3f,\n" sweep.jobs sweep.wall_s;
+  out "    \"wall_s_reps\": [%s],\n"
     (String.concat ", " (List.map (Printf.sprintf "%.3f") sweep.wall_reps));
-  (* Schema stability: both fields are always present; null whenever the
-     configuration has no recorded reference (non-canonical scale, or a
-     sweep configuration introduced by this artifact). *)
-  (match baseline_wall with
-  | Some b ->
-    out "%s\"baseline_wall_s\": %.3f,\n" pad b;
-    out "%s\"speedup\": %.2f,\n" pad (b /. sweep.wall_s)
-  | None ->
-    out "%s\"baseline_wall_s\": null,\n" pad;
-    out "%s\"speedup\": null,\n" pad);
-  out "%s\"policies\": [\n" pad;
+  out "    \"policies\": [\n";
   List.iteri
     (fun i s ->
-      out "%s  {\"name\": %S, \"mean\": %.4f, \"stddev\": %.4f}%s\n" pad
+      out "      {\"name\": %S, \"mean\": %.4f, \"stddev\": %.4f}%s\n"
         s.Runner.label s.Runner.mean s.Runner.stddev
         (if i = List.length sweep.summaries - 1 then "" else ","))
     sweep.summaries;
-  out "%s]" pad
-
-let write_json path sweep legacy obs robustness kernels =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"schema_version\": 3,\n";
-  out "  \"benchmark\": \"fig8-style joining sweep (TOWER, seed 42)\",\n";
-  out "  \"sweep\": {\n";
-  out_sweep_block oc ~indent:4 sweep ~baseline_wall:None;
-  out "\n  },\n";
-  out "  \"legacy_sweep\": {\n";
-  out "    \"note\": \"previous (degenerate) configuration: capacity 50 \
-       never saturates with live tuples, all policy means coincide by \
-       design; kept for wall-clock continuity\",\n";
-  out_sweep_block oc ~indent:4 legacy
-    ~baseline_wall:(if canonical legacy then Some legacy_baseline_wall_s
-                    else None);
-  out "\n  },\n";
+  out "    ]\n  },\n";
   out "  \"obs\": {\n";
   out "    \"env_enabled\": %b,\n" obs.env_enabled;
   out "    \"events_file\": %S,\n" obs_events_file;
   out "    \"enabled_wall_s\": %.3f,\n" obs.enabled_wall_s;
   out "    \"enabled_overhead_pct\": %.1f,\n"
     (100.0 *. ((obs.enabled_wall_s /. sweep.wall_s) -. 1.0));
-  (* Disabled overhead: the legacy sweep is byte-for-byte the workload
-     the previous (pre-obs) artifact timed, so its fresh gate-off wall
-     against that recorded wall measures what the dormant
-     instrumentation costs (plus host noise). *)
-  (match canonical legacy with
-  | true ->
-    out "    \"disabled_wall_vs_prev_pct\": %.1f,\n"
-      (100.0 *. ((legacy.wall_s /. prev_legacy_wall_s) -. 1.0))
-  | false -> out "    \"disabled_wall_vs_prev_pct\": null,\n");
   out "    \"per_policy\": {\n";
   List.iteri
     (fun i (label, json) ->
@@ -671,20 +596,7 @@ let write_json path sweep legacy obs robustness kernels =
     kernels;
   out "  },\n";
   out "  \"baseline\": {\n";
-  out "    \"note\": \"kernels: pre-fast-kernels run (the CI gate anchor); \
-       degenerate_sweep: the previous checked-in capacity-50 sweep\",\n";
-  out "    \"wall_s\": %.3f,\n" prev_wall_s;
-  out "    \"degenerate_sweep\": {\n";
-  out "      \"capacity\": %d,\n      \"wall_s\": %.3f,\n" legacy_capacity
-    prev_legacy_wall_s;
-  out "      \"policies\": [\n";
-  List.iteri
-    (fun i (name, mean, stddev) ->
-      out "        {\"name\": %S, \"mean\": %.4f, \"stddev\": %.4f}%s\n" name
-        mean stddev
-        (if i = List.length prev_legacy_policies - 1 then "" else ","))
-    prev_legacy_policies;
-  out "      ]\n    },\n";
+  out "    \"note\": \"pre-fast-kernels kernel times (the CI gate anchor)\",\n";
   out "    \"kernels_ns\": {\n";
   List.iteri
     (fun i (name, ns) ->
@@ -705,14 +617,9 @@ let () =
   let traces =
     shared_traces ~runs:opts.Experiments.runs ~length:opts.Experiments.length
   in
-  let sweep = run_sweep ~label:"fig8 sweep" ~capacity:sweep_capacity ~reps:5
-      traces
-  in
+  let sweep = run_sweep traces in
   fail_if_degenerate sweep;
   fail_if_drifted sweep;
-  let legacy =
-    run_sweep ~label:"legacy sweep" ~capacity:legacy_capacity ~reps:5 traces
-  in
   let obs = run_obs_pass sweep traces in
   let robustness = run_robustness_pass sweep traces in
   (match Sys.getenv_opt "SSJ_BENCH_FIGURES" with
@@ -725,5 +632,5 @@ let () =
       []
     | _ -> run_micro ()
   in
-  write_json "BENCH_joining.json" sweep legacy obs robustness kernels;
+  write_json "BENCH_joining.json" sweep obs robustness kernels;
   Format.printf "@.done.@."

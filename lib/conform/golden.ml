@@ -172,8 +172,9 @@ let compare_digests ~what ~expected actual =
 (* The tracked BENCH_joining.json rounds the sweep means to 4 decimals;
    the digest values must round to exactly those strings, tying the
    golden hex floats to the published artifact.  Substring scan of the
-   "sweep" block only (the legacy and robustness blocks also carry
-   policy arrays). *)
+   "sweep" object's "policies" array only, up to its closing bracket (its
+   entries hold no arrays; the robustness block also carries policy
+   arrays), so the scan does not depend on which block comes next. *)
 let artifact_means ~filename =
   match open_in filename with
   | exception Sys_error msg -> Error msg
@@ -183,13 +184,17 @@ let artifact_means ~filename =
       (fun () ->
         let n = in_channel_length ic in
         let text = really_input_string ic n in
-        let section text start stop =
-          match (Case.find_marker text start, Case.find_marker text stop) with
-          | Some a, Some b when a < b -> Some (String.sub text a (b - a))
-          | _ -> None
+        let policies =
+          let ( let* ) = Option.bind in
+          let* a = Case.find_marker text "\"sweep\"" in
+          let rest = String.sub text a (String.length text - a) in
+          let* p = Case.find_marker rest "\"policies\"" in
+          let* b = String.index_from_opt text (a + p) '[' in
+          let* e = String.index_from_opt text b ']' in
+          Some (String.sub text b (e - b))
         in
-        match section text "\"sweep\"" "\"legacy_sweep\"" with
-        | None -> Error "no sweep block before legacy_sweep"
+        match policies with
+        | None -> Error "no sweep.policies array"
         | Some block ->
           let rec collect acc text =
             match Case.find_marker text "{\"name\": \"" with

@@ -139,12 +139,12 @@ let keep_top_check =
           { cases = count; note = "bounded selection == full stable sort" }
       | Some detail -> Check.Fail { detail; case = None })
 
-(* --- FlowExpect: warm handle vs fresh solves, Ssp vs Scaling --------- *)
+(* --- FlowExpect: warm handle vs fresh solves vs cost scaling --------- *)
 
 let flow_expect_check =
   Check.make ~name:"oracle:flow-expect/warm-vs-fresh" ~kind:Check.Oracle
-    ~fast:"Flow_expect.decide with a shared warm handle (Ssp)"
-    ~reference:"fresh per-step solves; `Scaling backend cross-check"
+    ~fast:"Flow_expect.decide with a shared warm handle"
+    ~reference:"fresh per-step solves; Scaling on Flow_expect.graph"
     (fun ~seed ~count ->
       let reps = max 1 (count / 20) in
       let failure = ref None in
@@ -169,13 +169,21 @@ let flow_expect_check =
               Tuple.make ~side:Tuple.S ~value:sv ~arrival:t;
             ]
           in
-          let decide ?solver ?handle () =
-            Flow_expect.decide ?solver ?handle ~r:!rp ~s:!sp ~lookahead:3
-              ~now:t ~cached:!cached ~arrivals ~capacity:2 ()
+          let decide ?handle () =
+            Flow_expect.decide ?handle ~r:!rp ~s:!sp ~lookahead:3
+              ~cached:!cached ~arrivals ~capacity:2 ()
           in
           let warm = decide ~handle () in
           let fresh = decide () in
-          let scaling = decide ~solver:`Scaling () in
+          let scaling =
+            let graph =
+              Flow_expect.graph ~r:!rp ~s:!sp ~lookahead:3 ~cached:!cached
+                ~arrivals
+            in
+            let target = min 2 (List.length !cached + 2) in
+            let module S = Ssj_flow.Scaling in
+            -.(S.solve (S.of_graph graph) ~source:0 ~sink:1 ~target).S.cost
+          in
           if
             not
               (tuples_equal
@@ -194,18 +202,14 @@ let flow_expect_check =
                    (render_selection fresh.Flow_expect.keep)
                    fresh.Flow_expect.expected_benefit !rep t)
           else if
-            Float.abs
-              (warm.Flow_expect.expected_benefit
-              -. scaling.Flow_expect.expected_benefit)
-            > 1e-6
+            Float.abs (warm.Flow_expect.expected_benefit -. scaling) > 1e-6
           then
             failure :=
               Some
                 (Printf.sprintf
-                   "Ssp benefit %.17g <> Scaling benefit %.17g at rep %d \
+                   "Mcmf benefit %.17g <> Scaling benefit %.17g at rep %d \
                     step %d"
-                   warm.Flow_expect.expected_benefit
-                   scaling.Flow_expect.expected_benefit !rep t)
+                   warm.Flow_expect.expected_benefit scaling !rep t)
           else cached := warm.Flow_expect.keep;
           incr now
         done;

@@ -12,7 +12,8 @@
       ([keep_top], [select_top]) vs the full-stable-sort spec.
     - [oracle:flow-expect/warm-vs-fresh] — warm-started
       {!Ssj_core.Flow_expect.decide} vs fresh per-step solves
-      (bit-equal), plus the [`Scaling] backend within tolerance.
+      (bit-equal), plus {!Ssj_flow.Scaling} on
+      {!Ssj_core.Flow_expect.graph} within tolerance.
     - [oracle:h1/curve-vs-direct-sum] — the precomputed random-walk
       joining curve vs {!Ssj_core.Precompute.walk_joining_h}.
     - [oracle:h2/bicubic-vs-exact-columns] — bicubic surface control

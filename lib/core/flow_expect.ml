@@ -4,187 +4,126 @@ open Ssj_flow
 
 module Obs = Ssj_obs.Obs
 
-(* Warm-start effectiveness of the handle's conditional-law cache: a hit
-   reuses the whole per-offset law array from the previous step. *)
 let m_decides = Obs.Counter.create "flow_expect.decides"
-let m_law_warm_hits = Obs.Counter.create "flow_expect.law_warm_hits"
-let m_law_warm_misses = Obs.Counter.create "flow_expect.law_warm_misses"
 
 type plan = { keep : Tuple.t list; expected_benefit : float }
-type solver = [ `Ssp | `Scaling ]
+type handle = { mutable mcmf : Mcmf.t option }
 
-type handle = {
-  mutable mcmf : Mcmf.t option;
-  mutable scaling : Scaling.t option;
-  (* Conditional-law cache, keyed by the predictor value itself:
-     predictors are immutable ([observe] returns a new one), so physical
-     equality proves the cached laws are still those of the predictor at
-     hand.  Consecutive [decide] calls with an unchanged stream reuse the
-     whole array of per-offset laws. *)
-  mutable laws_r : (Predictor.t * Ssj_prob.Pmf.t array) option;
-  mutable laws_s : (Predictor.t * Ssj_prob.Pmf.t array) option;
-}
+let handle () = { mcmf = None }
 
-let handle () = { mcmf = None; scaling = None; laws_r = None; laws_s = None }
+(* Node layout: 0 = source, 1 = sink, then one block per slice (slice i
+   holds [base + 2i] entities), then connectors (one per slice i >= 1). *)
+let node_count ~base ~lookahead =
+  2 + (lookahead * base) + (lookahead * (lookahead - 1)) + (lookahead - 1)
 
-type entity =
-  | Determined of Tuple.side * int (* side, value *)
-  | Undetermined of Tuple.side * int (* side, arrival offset j >= 1 *)
+(* Calls [add src dst cap cost] once per arc of the Section 3.1 graph over
+   [candidates] (cached tuples, then arrivals) and returns the results of
+   the [base] source arcs, which come first: source arc [e] carries
+   candidate [e].  The graph is a DAG: arcs go source → slice 0, slice i
+   → slice i+1, old entities of slice i → connector i → new entities of
+   slice i, and last slice → sink. *)
+let build ~r ~s ~lookahead:l ~candidates add =
+  let base = Array.length candidates in
+  (* Conditional laws of both streams at offsets 1..l, shared by all cost
+     computations. *)
+  let laws_r = Array.init l (fun i -> r.Predictor.pmf (i + 1)) in
+  let laws_s = Array.init l (fun i -> s.Predictor.pmf (i + 1)) in
+  let law side d =
+    match side with Tuple.R -> laws_r.(d - 1) | Tuple.S -> laws_s.(d - 1)
+  in
+  (* Expected one-step benefit of keeping entity [e] through time t0+d:
+     entities below [base] are the determined candidates, the rest the
+     undetermined arrivals of offset j >= 1, R before S. *)
+  let benefit e d =
+    if e < base then begin
+      let t = candidates.(e) in
+      Ssj_prob.Pmf.prob (law (Tuple.partner t.Tuple.side) d) t.Tuple.value
+    end
+    else begin
+      let j = ((e - base) / 2) + 1 in
+      let side = if (e - base) mod 2 = 0 then Tuple.R else Tuple.S in
+      Ssj_prob.Pmf.dot (law side j) (law (Tuple.partner side) d)
+    end
+  in
+  let entity_count i = base + (2 * i) in
+  let offsets = Array.make l 0 in
+  let acc = ref 2 in
+  for i = 0 to l - 1 do
+    offsets.(i) <- !acc;
+    acc := !acc + entity_count i
+  done;
+  let conn_off = !acc in
+  let node i e = offsets.(i) + e in
+  let connector i = conn_off + i - 1 in
+  let source = 0 and sink = 1 in
+  let sources = Array.init base (fun e -> add source (node 0 e) 1 0.0) in
+  (* Slice 0 contains no connector: arrivals are already determined. *)
+  for i = 0 to l - 2 do
+    for e = 0 to entity_count i - 1 do
+      ignore (add (node i e) (node (i + 1) e) 1 (-.benefit e (i + 1)))
+    done
+  done;
+  for i = 1 to l - 1 do
+    let c = connector i in
+    for e = 0 to entity_count (i - 1) - 1 do
+      ignore (add (node i e) c 1 0.0)
+    done;
+    let new0 = base + (2 * (i - 1)) in
+    ignore (add c (node i new0) 1 0.0);
+    ignore (add c (node i (new0 + 1)) 1 0.0)
+  done;
+  for e = 0 to entity_count (l - 1) - 1 do
+    ignore (add (node (l - 1) e) sink 1 (-.benefit e l))
+  done;
+  sources
 
-let laws ~cached ~store pred l =
-  match cached with
-  | Some (p, arr) when p == pred && Array.length arr >= l ->
-    Obs.Counter.incr m_law_warm_hits;
-    arr
-  | _ ->
-    Obs.Counter.incr m_law_warm_misses;
-    let arr = Array.init l (fun i -> pred.Predictor.pmf (i + 1)) in
-    store (pred, arr);
-    arr
+let check_lookahead lookahead =
+  if lookahead < 1 then invalid_arg "Flow_expect: lookahead < 1"
 
-(* The time-expanded graph is a DAG: arcs go source → slice 0, slice i →
-   slice i+1, old entities of slice i → connector i → new entities of
-   slice i, and last slice → sink.  Both backends get the arcs in the
-   same order, source arcs first, so the decision reads back from the
-   first [base] arc handles. *)
-let solve_arcs ~solver ~handle:h ~n_nodes ~base ~add_all ~source ~sink ~target =
-  match solver with
-  | `Ssp ->
-    let g =
-      match h with
-      | Some ({ mcmf = Some g; _ } : handle) ->
-        Mcmf.reset g ~n:n_nodes;
-        g
-      | _ ->
-        let g = Mcmf.create n_nodes in
-        (match h with Some h -> h.mcmf <- Some g | None -> ());
-        g
-    in
-    let src_arcs = ref [] in
-    let count = ref 0 in
-    add_all (fun src dst cap cost ->
-        let a = Mcmf.add_arc g ~src ~dst ~cap ~cost in
-        if !count < base then src_arcs := a :: !src_arcs;
-        incr count);
-    let result = Mcmf.solve ~acyclic:true g ~source ~sink ~target in
-    let flows = List.rev_map (fun a -> Mcmf.flow_on g a) !src_arcs in
-    (flows, result.Mcmf.cost)
-  | `Scaling ->
-    let g =
-      match h with
-      | Some ({ scaling = Some g; _ } : handle) ->
-        Scaling.reset g ~n:n_nodes;
-        g
-      | _ ->
-        let g = Scaling.create n_nodes in
-        (match h with Some h -> h.scaling <- Some g | None -> ());
-        g
-    in
-    let src_arcs = ref [] in
-    let count = ref 0 in
-    add_all (fun src dst cap cost ->
-        let a = Scaling.add_arc g ~src ~dst ~cap ~cost in
-        if !count < base then src_arcs := a :: !src_arcs;
-        incr count);
-    let result = Scaling.solve g ~source ~sink ~target in
-    let flows = List.rev_map (fun a -> Scaling.flow_on g a) !src_arcs in
-    (flows, result.Scaling.cost)
-
-let decide ?(solver = `Ssp) ?handle:h ~r ~s ~lookahead ~now:_ ~cached ~arrivals
-    ~capacity () =
-  if lookahead < 1 then invalid_arg "Flow_expect.decide: lookahead < 1";
-  Obs.Counter.incr m_decides;
+let graph ~r ~s ~lookahead ~cached ~arrivals =
+  check_lookahead lookahead;
   let candidates = Array.of_list (cached @ arrivals) in
+  let arcs = ref [] in
+  ignore
+    (build ~r ~s ~lookahead ~candidates (fun src dst cap cost ->
+         arcs := (src, dst, cap, cost) :: !arcs));
+  {
+    Mcmf_check.nodes = node_count ~base:(Array.length candidates) ~lookahead;
+    arcs = Array.of_list (List.rev !arcs);
+  }
+
+let decide ?handle:h ~r ~s ~lookahead ~cached ~arrivals ~capacity () =
+  check_lookahead lookahead;
+  Obs.Counter.incr m_decides;
+  let candidate_list = cached @ arrivals in
+  let candidates = Array.of_list candidate_list in
   let base = Array.length candidates in
   let target = if capacity <= base then capacity else base in
   if target = 0 then { keep = []; expected_benefit = 0.0 }
   else begin
-    let l = lookahead in
-    (* Conditional laws of both streams at offsets 1..l, shared by all
-       cost computations (and by consecutive steps through the handle). *)
-    let laws_r =
-      laws
-        ~cached:(match h with Some h -> h.laws_r | None -> None)
-        ~store:(fun e -> match h with Some h -> h.laws_r <- Some e | None -> ())
-        r l
+    let n = node_count ~base ~lookahead in
+    let g =
+      match h with
+      | Some { mcmf = Some g } ->
+        Mcmf.reset g ~n;
+        g
+      | _ ->
+        let g = Mcmf.create n in
+        (match h with Some h -> h.mcmf <- Some g | None -> ());
+        g
     in
-    let laws_s =
-      laws
-        ~cached:(match h with Some h -> h.laws_s | None -> None)
-        ~store:(fun e -> match h with Some h -> h.laws_s <- Some e | None -> ())
-        s l
+    let sources =
+      build ~r ~s ~lookahead ~candidates (fun src dst cap cost ->
+          Mcmf.add_arc g ~src ~dst ~cap ~cost)
     in
-    let law side d =
-      match side with Tuple.R -> laws_r.(d - 1) | Tuple.S -> laws_s.(d - 1)
-    in
-    (* Expected one-step benefit of keeping entity [e] through time t0+d. *)
-    let benefit e d =
-      match e with
-      | Determined (side, v) -> Ssj_prob.Pmf.prob (law (Tuple.partner side) d) v
-      | Undetermined (side, j) ->
-        Ssj_prob.Pmf.dot (law side j) (law (Tuple.partner side) d)
-    in
-    let entity_at idx =
-      if idx < base then begin
-        let t = candidates.(idx) in
-        Determined (t.Tuple.side, t.Tuple.value)
-      end
-      else begin
-        let j = ((idx - base) / 2) + 1 in
-        let side = if (idx - base) mod 2 = 0 then Tuple.R else Tuple.S in
-        Undetermined (side, j)
-      end
-    in
-    let entity_count i = base + (2 * i) in
-    (* Node layout: 0 = source, 1 = sink, then slice blocks, then
-       connectors (one per slice i >= 1). *)
-    let offsets = Array.make l 0 in
-    let acc = ref 2 in
-    for i = 0 to l - 1 do
-      offsets.(i) <- !acc;
-      acc := !acc + entity_count i
-    done;
-    let conn_off = !acc in
-    let n_nodes = conn_off + (l - 1) in
-    let node i e = offsets.(i) + e in
-    let connector i = conn_off + i - 1 in
-    let source = 0 and sink = 1 in
-    (* Source arcs first, so the decision can be read back by index. *)
-    let add_all add =
-      for e = 0 to base - 1 do
-        add source (node 0 e) 1 0.0
-      done;
-      (* Slice 0 contains no connector: arrivals are already determined. *)
-      for i = 0 to l - 2 do
-        for e = 0 to entity_count i - 1 do
-          add (node i e) (node (i + 1) e) 1 (-.benefit (entity_at e) (i + 1))
-        done
-      done;
-      for i = 1 to l - 1 do
-        let c = connector i in
-        for e = 0 to entity_count (i - 1) - 1 do
-          add (node i e) c 1 0.0
-        done;
-        let new0 = base + (2 * (i - 1)) in
-        add c (node i new0) 1 0.0;
-        add c (node i (new0 + 1)) 1 0.0
-      done;
-      for e = 0 to entity_count (l - 1) - 1 do
-        add (node (l - 1) e) sink 1 (-.benefit (entity_at e) l)
-      done
-    in
-    let source_flows, cost =
-      solve_arcs ~solver ~handle:h ~n_nodes ~base ~add_all ~source ~sink ~target
-    in
+    let result = Mcmf.solve g ~source:0 ~sink:1 ~target in
     let keep =
-      List.filteri
-        (fun e _ -> List.nth source_flows e > 0)
-        (Array.to_list candidates)
+      List.filteri (fun e _ -> Mcmf.flow_on g sources.(e) > 0) candidate_list
     in
-    { keep; expected_benefit = -.cost }
+    { keep; expected_benefit = -.result.Mcmf.cost }
   end
 
-let policy ?name ?solver ~r ~s ~lookahead () =
+let policy ?name ~r ~s ~lookahead () =
   let r_pred = ref r and s_pred = ref s in
   let h = handle () in
   let name =
@@ -192,7 +131,7 @@ let policy ?name ?solver ~r ~s ~lookahead () =
     | Some n -> n
     | None -> Printf.sprintf "FLOWEXPECT(l=%d)" lookahead
   in
-  let select ~now ~cached ~arrivals ~capacity =
+  let select ~now:_ ~cached ~arrivals ~capacity =
     List.iter
       (fun (t : Tuple.t) ->
         match t.Tuple.side with
@@ -200,8 +139,8 @@ let policy ?name ?solver ~r ~s ~lookahead () =
         | Tuple.S -> s_pred := !s_pred.Predictor.observe t.Tuple.value)
       arrivals;
     let plan =
-      decide ?solver ~handle:h ~r:!r_pred ~s:!s_pred ~lookahead ~now ~cached
-        ~arrivals ~capacity ()
+      decide ~handle:h ~r:!r_pred ~s:!s_pred ~lookahead ~cached ~arrivals
+        ~capacity ()
     in
     plan.keep
   in

@@ -21,43 +21,45 @@ type plan = {
           plan (the negated min cost) *)
 }
 
-type solver = [ `Ssp | `Scaling ]
-(** Min-cost-flow backend: successive shortest paths (default, faster on
-    these small graphs) or Goldberg's cost-scaling ({!Ssj_flow.Scaling},
-    the algorithm the paper cites).  Both return exact optima; agreement
-    is property-tested. *)
-
 type handle
 (** Warm-start arena for repeated {!decide} calls: holds one reusable
-    solver graph per backend (reset, not reallocated, each step — see
-    {!Ssj_flow.Mcmf.reset}) and caches the per-offset conditional-law
-    arrays, revalidated by physical equality of the predictors (they are
-    immutable, so [==] proves the laws are current).  Decisions are
-    bit-identical with and without a handle; the handle only removes
-    per-step allocation and law recomputation. *)
+    {!Ssj_flow.Mcmf} graph, reset rather than reallocated each step (see
+    {!Ssj_flow.Mcmf.reset}).  Decisions are bit-identical with and without
+    a handle; the handle only removes per-step graph allocation. *)
 
 val handle : unit -> handle
 (** A fresh arena; share one per policy instance (not across domains). *)
 
+val graph :
+  r:Ssj_model.Predictor.t ->
+  s:Ssj_model.Predictor.t ->
+  lookahead:int ->
+  cached:Ssj_stream.Tuple.t list ->
+  arrivals:Ssj_stream.Tuple.t list ->
+  Ssj_flow.Mcmf_check.graph
+(** The Section 3.1 graph {!decide} solves, arc for arc: source 0, sink 1,
+    one unit-capacity source arc per candidate ([cached], then
+    [arrivals]) first.  A min-cost flow of value [min capacity (number
+    of candidates)] costs the negated [expected_benefit] of {!decide}'s
+    plan; reference solvers use it to check the production solve.
+    [lookahead ≥ 1]. *)
+
 val decide :
-  ?solver:solver ->
   ?handle:handle ->
   r:Ssj_model.Predictor.t ->
   s:Ssj_model.Predictor.t ->
   lookahead:int ->
-  now:int ->
   cached:Ssj_stream.Tuple.t list ->
   arrivals:Ssj_stream.Tuple.t list ->
   capacity:int ->
   unit ->
   plan
-(** One FlowExpect step.  The predictors must already have observed
-    everything up to and including time [now] (history [x̄_{t0}]).
-    [lookahead ≥ 1]. *)
+(** One FlowExpect step, solved with {!Ssj_flow.Mcmf}.  The predictors
+    must already have observed everything up to and including the
+    arrivals (history [x̄_{t0}]).  [lookahead ≥ 1]. *)
 
 val policy :
   ?name:string ->
-  ?solver:solver ->
   r:Ssj_model.Predictor.t ->
   s:Ssj_model.Predictor.t ->
   lookahead:int ->

@@ -32,8 +32,7 @@ type t = {
   mutable pot : float array;
   mutable dist : float array;
   mutable pred_arc : int array;
-  mutable flag : bool array; (* Bellman–Ford in-queue marks *)
-  mutable order : int array; (* topological order scratch *)
+  mutable order : int array; (* topological order, doubling as Kahn's FIFO *)
   mutable indegree : int array;
   heap : Heap.t;
 }
@@ -52,7 +51,6 @@ let create n =
     pot = [||];
     dist = [||];
     pred_arc = [||];
-    flag = [||];
     order = [||];
     indegree = [||];
     heap = Heap.create ();
@@ -64,9 +62,6 @@ let reset g ~n =
   g.n <- n;
   g.m <- 0;
   g.solved <- false
-
-let node_count g = g.n
-let arc_count g = g.m
 
 let ensure_capacity g =
   let need = 2 * (g.m + 1) in
@@ -116,7 +111,6 @@ let ensure_scratch g =
     g.pot <- Array.make cap 0.0;
     g.dist <- Array.make cap 0.0;
     g.pred_arc <- Array.make cap (-1);
-    g.flag <- Array.make cap false;
     g.order <- Array.make cap 0;
     g.indegree <- Array.make cap 0
   end
@@ -146,39 +140,6 @@ let build_adjacency g =
     let s = arc_src g a in
     g.adj_arc.(cursor.(s)) <- a;
     cursor.(s) <- cursor.(s) + 1
-  done
-
-(* Bellman–Ford (queue-based) over residual arcs, to obtain initial
-   potentials that make all reduced costs non-negative. *)
-let bellman_ford g source dist =
-  Array.fill dist 0 g.n infinity_dist;
-  dist.(source) <- 0.0;
-  let in_queue = g.flag in
-  Array.fill in_queue 0 g.n false;
-  let q = Queue.create () in
-  Queue.add source q;
-  in_queue.(source) <- true;
-  let rounds = ref 0 in
-  let limit = g.n * (2 * g.m) in
-  while not (Queue.is_empty q) do
-    incr rounds;
-    if !rounds > limit + g.n then failwith "Mcmf: negative cycle detected";
-    let u = Queue.take q in
-    in_queue.(u) <- false;
-    for idx = g.adj_start.(u) to g.adj_start.(u + 1) - 1 do
-      let a = g.adj_arc.(idx) in
-      if g.cap.(a) > 0 then begin
-        let v = g.to_.(a) in
-        let nd = dist.(u) +. g.cost.(a) in
-        if nd < dist.(v) -. 1e-12 then begin
-          dist.(v) <- nd;
-          if not in_queue.(v) then begin
-            Queue.add v q;
-            in_queue.(v) <- true
-          end
-        end
-      end
-    done
   done
 
 (* Dijkstra on reduced costs; fills [dist] and [pred_arc] (internal arc id
@@ -242,8 +203,10 @@ let path_true_cost g pred_arc sink =
   go sink 0.0
 
 (* Shortest distances from [source] over positive-capacity arcs of an
-   acyclic graph, via one topological pass (Kahn).  Returns false (leaving
-   [dist] unspecified) if a cycle is detected. *)
+   acyclic graph, via one topological pass (Kahn).  The FIFO runs on the
+   [order] array itself: [head] is the next node to visit, [tail] the next
+   free slot, so the visit order is the insertion order.  Raises
+   [Invalid_argument] if a positive-capacity cycle leaves nodes unvisited. *)
 let dag_distances g source dist =
   let indegree = g.indegree in
   Array.fill indegree 0 g.n 0;
@@ -251,46 +214,48 @@ let dag_distances g source dist =
     if g.cap.(a) > 0 then indegree.(g.to_.(a)) <- indegree.(g.to_.(a)) + 1
   done;
   let order = g.order in
-  let count = ref 0 in
-  let q = Queue.create () in
+  let tail = ref 0 in
   for v = 0 to g.n - 1 do
-    if indegree.(v) = 0 then Queue.add v q
+    if indegree.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
   done;
-  while not (Queue.is_empty q) do
-    let v = Queue.take q in
-    order.(!count) <- v;
-    incr count;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = order.(!head) in
+    incr head;
     for idx = g.adj_start.(v) to g.adj_start.(v + 1) - 1 do
       let a = g.adj_arc.(idx) in
       if g.cap.(a) > 0 then begin
         let w = g.to_.(a) in
         indegree.(w) <- indegree.(w) - 1;
-        if indegree.(w) = 0 then Queue.add w q
+        if indegree.(w) = 0 then begin
+          order.(!tail) <- w;
+          incr tail
+        end
       end
     done
   done;
-  if !count < g.n then false
-  else begin
-    Array.fill dist 0 g.n infinity_dist;
-    dist.(source) <- 0.0;
-    for i = 0 to g.n - 1 do
-      let v = order.(i) in
-      if dist.(v) < infinity_dist then begin
-        for idx = g.adj_start.(v) to g.adj_start.(v + 1) - 1 do
-          let a = g.adj_arc.(idx) in
-          if g.cap.(a) > 0 then begin
-            let w = g.to_.(a) in
-            let nd = dist.(v) +. g.cost.(a) in
-            if nd < dist.(w) then dist.(w) <- nd
-          end
-        done
-      end
-    done;
-    true
-  end
+  if !tail < g.n then
+    invalid_arg "Mcmf.solve: graph has a positive-capacity cycle";
+  Array.fill dist 0 g.n infinity_dist;
+  dist.(source) <- 0.0;
+  for i = 0 to g.n - 1 do
+    let v = order.(i) in
+    if dist.(v) < infinity_dist then begin
+      for idx = g.adj_start.(v) to g.adj_start.(v + 1) - 1 do
+        let a = g.adj_arc.(idx) in
+        if g.cap.(a) > 0 then begin
+          let w = g.to_.(a) in
+          let nd = dist.(v) +. g.cost.(a) in
+          if nd < dist.(w) then dist.(w) <- nd
+        end
+      done
+    end
+  done
 
-let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
-    ~stop_at_nonnegative =
+let run ?breakpoints g ~source ~sink ~target ~stop_at_nonnegative =
   if g.solved then invalid_arg "Mcmf.solve: graph already solved";
   g.solved <- true;
   if source = sink then invalid_arg "Mcmf.solve: source = sink";
@@ -298,10 +263,9 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
   build_adjacency g;
   let pot = g.pot and dist = g.dist and pred_arc = g.pred_arc in
   let heap = g.heap in
-  if not (acyclic && dag_distances g source dist) then
-    bellman_ford g source dist;
-  (* Unreachable nodes keep potential 0; they can never join an augmenting
-     path (see comment in the .mli), so their reduced costs are irrelevant. *)
+  dag_distances g source dist;
+  (* Unreachable nodes get an infinite potential: no augmenting path can
+     ever reach them, and Dijkstra skips them. *)
   for v = 0 to g.n - 1 do
     pot.(v) <- (if dist.(v) < infinity_dist then dist.(v) else infinity_dist)
   done;
@@ -358,14 +322,13 @@ let run ?(acyclic = false) ?breakpoints g ~source ~sink ~target
   done;
   { flow = !total_flow; cost = !total_cost }
 
-let solve ?acyclic g ~source ~sink ~target =
-  run ?acyclic g ~source ~sink ~target ~stop_at_nonnegative:false
+let solve g ~source ~sink ~target =
+  run g ~source ~sink ~target ~stop_at_nonnegative:false
 
-let solve_curve ?acyclic g ~source ~sink ~target =
+let solve_curve g ~source ~sink ~target =
   let acc = ref [] in
   let result =
-    run ?acyclic ~breakpoints:acc g ~source ~sink ~target
-      ~stop_at_nonnegative:false
+    run ~breakpoints:acc g ~source ~sink ~target ~stop_at_nonnegative:false
   in
   (List.rev !acc, result)
 
@@ -375,7 +338,3 @@ let solve_min_cost_max_flow g ~source ~sink =
 let flow_on g a =
   (* Flow on user arc [a] equals the residual capacity of its twin. *)
   g.cap.((2 * a) + 1)
-
-let arc_endpoints g a = (g.to_.((2 * a) + 1), g.to_.(2 * a))
-let arc_cost (g : t) a = g.cost.(2 * a)
-let arc_cap g a = g.cap.(2 * a) + g.cap.((2 * a) + 1)

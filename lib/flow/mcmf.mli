@@ -7,10 +7,10 @@
     potentials — the optimum is identical (exact, integral), only the
     asymptotics differ (see DESIGN.md §5).
 
-    Negative arc costs are supported as long as the graph has no
-    negative-cost directed cycle of positive capacity (our graphs are DAGs).
-    Initial node potentials come from a Bellman–Ford pass; each augmentation
-    then runs Dijkstra on reduced costs. *)
+    Inputs must be DAGs over their positive-capacity arcs (every graph
+    OPT-offline and FlowExpect build is one), so negative arc costs are
+    safe.  Initial node potentials come from one O(n + m) topological
+    pass; each augmentation then runs Dijkstra on reduced costs. *)
 
 type t
 
@@ -28,9 +28,6 @@ val reset : t -> n:int -> unit
     per-step allocation churn; FlowExpect holds one such graph per
     policy and resets it every decision. *)
 
-val node_count : t -> int
-val arc_count : t -> int
-
 val add_arc : t -> src:int -> dst:int -> cap:int -> cost:float -> arc
 (** Adds a directed arc (and its residual twin).  Requires [cap ≥ 0] and
     finite [cost]. *)
@@ -40,25 +37,18 @@ type result = {
   cost : float;    (** its total cost *)
 }
 
-val solve : ?acyclic:bool -> t -> source:int -> sink:int -> target:int -> result
+val solve : t -> source:int -> sink:int -> target:int -> result
 (** [solve g ~source ~sink ~target] pushes up to [target] units of flow
     along successively cheapest augmenting paths, *regardless of sign* of
     the path cost (we want minimum cost at exactly the target value, not a
     min-cost max-flow that stops at zero-profit).  Stops early only when
     the sink becomes unreachable.  May be called once per graph.
 
-    [acyclic] (default false) asserts that the input graph is a DAG: the
-    initial potentials then come from one O(n + m) topological pass
-    instead of Bellman–Ford — essential for the large OPT-offline
-    networks.  Falls back to Bellman–Ford if a cycle is detected. *)
+    @raise Invalid_argument if the graph has a cycle of positive-capacity
+    arcs. *)
 
 val solve_curve :
-  ?acyclic:bool ->
-  t ->
-  source:int ->
-  sink:int ->
-  target:int ->
-  (int * float) list * result
+  t -> source:int -> sink:int -> target:int -> (int * float) list * result
 (** Like {!solve}, but also returns the (flow value, optimal cost)
     breakpoints after every augmentation.  Successive-shortest-paths
     invariants make the intermediate flows optimal for *their* value, so
@@ -72,7 +62,3 @@ val solve_min_cost_max_flow : t -> source:int -> sink:int -> result
 
 val flow_on : t -> arc -> int
 (** Flow assigned to an arc by [solve]. *)
-
-val arc_endpoints : t -> arc -> int * int
-val arc_cost : t -> arc -> float
-val arc_cap : t -> arc -> int

@@ -1,13 +1,5 @@
 type arc = int
 
-module Obs = Ssj_obs.Obs
-
-let m_graph_create = Obs.Counter.create "scaling.graph_create"
-let m_graph_reuse = Obs.Counter.create "scaling.graph_reuse"
-let m_solves = Obs.Counter.create "scaling.solves"
-let m_pushes = Obs.Counter.create "scaling.pushes"
-let m_relabels = Obs.Counter.create "scaling.relabels"
-
 let cost_scale = 1048576.0 (* 2^20 *)
 
 type t = {
@@ -23,7 +15,6 @@ type t = {
 }
 
 let create n =
-  Obs.Counter.incr m_graph_create;
   {
     n;
     m = 0;
@@ -35,15 +26,6 @@ let create n =
     head = Array.make n (-1);
     solved = false;
   }
-
-let reset g ~n =
-  if n < 1 then invalid_arg "Scaling.reset: n < 1";
-  Obs.Counter.incr m_graph_reuse;
-  if n <= Array.length g.head then Array.fill g.head 0 n (-1)
-  else g.head <- Array.make (max n (2 * Array.length g.head)) (-1);
-  g.n <- n;
-  g.m <- 0;
-  g.solved <- false
 
 let ensure g =
   let need = 2 * (g.m + 1) in
@@ -91,12 +73,18 @@ let add_arc g ~src ~dst ~cap ~cost =
   let scaled = int_of_float (Float.round (cost *. cost_scale)) in
   add_internal g src dst cap scaled cost
 
+let of_graph (spec : Mcmf_check.graph) =
+  let g = create spec.Mcmf_check.nodes in
+  Array.iter
+    (fun (src, dst, cap, cost) -> ignore (add_arc g ~src ~dst ~cap ~cost))
+    spec.Mcmf_check.arcs;
+  g
+
 type result = { flow : int; cost : float }
 
 (* Cost-scaling circulation: refine halves (here /8) epsilon until < 1,
    with all costs pre-multiplied by (n+1) so 1-optimality is optimality. *)
 let run_circulation g =
-  let pushes = ref 0 and relabels = ref 0 in
   let n = g.n in
   let narcs = 2 * g.m in
   let price = Array.make n 0 in
@@ -168,14 +156,12 @@ let run_circulation g =
                  positive excess, but guard against infinite loops. *)
               continue := false
             else begin
-              incr relabels;
               price.(v) <- !best - !eps;
               current.(v) <- g.head.(v)
             end
           end
           else if g.cap.(a) > 0 && reduced a < 0 then begin
             (* push *)
-            incr pushes;
             let w = g.to_.(a) in
             let delta = min excess.(v) g.cap.(a) in
             g.cap.(a) <- g.cap.(a) - delta;
@@ -188,10 +174,6 @@ let run_circulation g =
         done
       done
     done
-  end;
-  if Obs.on () then begin
-    Obs.Counter.add m_pushes !pushes;
-    Obs.Counter.add m_relabels !relabels
   end
 
 let flow_on_internal g a = g.cap.((2 * a) + 1)
@@ -201,7 +183,6 @@ let solve g ~source ~sink ~target =
   if g.solved then invalid_arg "Scaling.solve: graph already solved";
   if source = sink then invalid_arg "Scaling.solve: source = sink";
   if target < 0 then invalid_arg "Scaling.solve: negative target";
-  Obs.Counter.incr m_solves;
   (* Profit on the return arc must dominate any simple path cost. *)
   let big =
     let acc = ref 1 in

@@ -1,17 +1,14 @@
 (** Cost-scaling min-cost flow — Goldberg's algorithm \[9\], the solver the
     paper invokes for its complexity bound (O(n² m log n)).
 
-    This is a second, independent backend with the same interface shape as
-    {!Mcmf}: ε-optimality scaling with push/relabel refinement on a
-    min-cost *circulation* (the source→sink demand is expressed through a
-    high-profit return arc).  Float costs are fixed-point-scaled to
-    integers internally (2^20 steps per unit), so optima agree with
-    {!Mcmf} exactly on integer-cost inputs and to ~1e-6 relative on
-    probability-valued costs — both facts are property-tested.
-
-    Use {!Mcmf} by default (it is faster on the small, sparse graphs
-    FlowExpect builds); this module exists for fidelity to the paper,
-    as a cross-check, and for dense/large instances. *)
+    A reference solver, like {!Mcmf_check}: production solves go through
+    {!Mcmf}.  It shares no code with {!Mcmf}: ε-optimality scaling with
+    push/relabel refinement on a min-cost *circulation* (the source→sink
+    demand is expressed through a high-profit return arc).  Float costs
+    are fixed-point-scaled to integers internally (2^20 steps per unit),
+    so optima agree with {!Mcmf} exactly on integer-cost inputs and to
+    ~1e-6 relative on probability-valued costs — both facts are
+    property-tested, the latter on FlowExpect's own graphs. *)
 
 type t
 
@@ -20,13 +17,10 @@ type arc = private int
 val create : int -> t
 (** [create n]: empty graph on nodes [0 .. n-1]. *)
 
-val reset : t -> n:int -> unit
-(** [reset g ~n]: empty the graph and re-dimension to [n] nodes while
-    keeping the internal arc arenas, mirroring {!Mcmf.reset}; a reset
-    graph is indistinguishable from a fresh [create n] and may be solved
-    again. *)
-
 val add_arc : t -> src:int -> dst:int -> cap:int -> cost:float -> arc
+
+val of_graph : Mcmf_check.graph -> t
+(** A fresh graph holding [spec]'s arcs, in order. *)
 
 type result = { flow : int; cost : float }
 
@@ -35,6 +29,3 @@ val solve : t -> source:int -> sink:int -> target:int -> result
     the network cannot carry [target]).  One-shot per graph. *)
 
 val flow_on : t -> arc -> int
-
-val cost_scale : float
-(** Fixed-point scale applied to float costs (2^20). *)

@@ -203,8 +203,9 @@ let reset () =
 
 (* --- JSON ----------------------------------------------------------- *)
 
-let escape s =
+let json_string s =
   let buf = Buffer.create (String.length s + 2) in
+  Buffer.add_char buf '"';
   String.iter
     (fun c ->
       match c with
@@ -215,6 +216,7 @@ let escape s =
         Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char buf c)
     s;
+  Buffer.add_char buf '"';
   Buffer.contents buf
 
 let json_of_snapshot views =
@@ -225,10 +227,10 @@ let json_of_snapshot views =
       if i > 0 then Buffer.add_string buf ", ";
       match view with
       | Counter_v { name; value } ->
-        Buffer.add_string buf (Printf.sprintf "\"%s\": %d" (escape name) value)
+        Buffer.add_string buf (Printf.sprintf "%s: %d" (json_string name) value)
       | Histogram_v { name; count; sum; min_v; max_v; width; buckets } ->
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\": {\"count\": %d, \"sum\": %d" (escape name)
+          (Printf.sprintf "%s: {\"count\": %d, \"sum\": %d" (json_string name)
              count sum);
         if count > 0 then
           Buffer.add_string buf
@@ -243,8 +245,8 @@ let json_of_snapshot views =
         Buffer.add_string buf "}}"
       | Span_v { name; calls; total_ns } ->
         Buffer.add_string buf
-          (Printf.sprintf "\"%s\": {\"calls\": %d, \"total_ns\": %d}"
-             (escape name) calls total_ns))
+          (Printf.sprintf "%s: {\"calls\": %d, \"total_ns\": %d}"
+             (json_string name) calls total_ns))
     views;
   Buffer.add_char buf '}';
   Buffer.contents buf
@@ -297,15 +299,15 @@ let event ~name fields =
     | None -> ()
     | Some oc ->
       let buf = Buffer.create 128 in
-      Buffer.add_string buf (Printf.sprintf "{\"event\": \"%s\"" (escape name));
+      Buffer.add_string buf (Printf.sprintf "{\"event\": %s" (json_string name));
       List.iter
         (fun (k, v) ->
-          Buffer.add_string buf (Printf.sprintf ", \"%s\": " (escape k));
+          Buffer.add_string buf (Printf.sprintf ", %s: " (json_string k));
           Buffer.add_string buf
             (match v with
             | I n -> string_of_int n
             | F x -> Printf.sprintf "%.6g" x
-            | S s -> Printf.sprintf "\"%s\"" (escape s)
+            | S s -> json_string s
             | B b -> if b then "true" else "false"))
         fields;
       Buffer.add_string buf "}\n";

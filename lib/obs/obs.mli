@@ -105,6 +105,11 @@ val reset : unit -> unit
     per-policy bench snapshots reset between policies so each snapshot
     isolates one policy's engine activity. *)
 
+val json_string : string -> string
+(** [s] as a quoted JSON string literal: quotes, backslashes and control
+    characters escaped.  The one escaper behind every JSON the project
+    writes (snapshots, events, the bench artifact). *)
+
 val json_of_snapshot : view list -> string
 (** One JSON object: counters as numbers, histograms and spans as
     nested objects.  Keys are metric names, in registration order. *)

@@ -150,34 +150,49 @@ let test_artifact_cross_check () =
     close_out oc;
     path
   in
-  let artifact =
+  (* The schema-3 shape (a legacy block after the sweep) and the schema-4
+     shape (a reps array before the policies, the obs block next, whose
+     per-policy keys and robustness rows must not be read as sweep
+     policies). *)
+  let schema3 =
     "{\"sweep\": {\"policies\": [{\"name\": \"RAND\", \"mean\": 4066.2200, \
      \"stddev\": 1.0}, {\"name\": \"PROB\", \"mean\": 4117.9000, \"stddev\": \
      2.0}]}, \"legacy_sweep\": {}}"
   in
-  let path = write artifact in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      (match Golden.check_artifact ~filename:path digests with
-      | Check.Pass { cases; _ } -> Helpers.check_int "both policies" 2 cases
-      | Check.Fail { detail; _ } -> Alcotest.fail detail);
-      (* A drifted mean must be flagged. *)
-      let drifted =
-        [
-          {
-            Golden.key = "fig8/cap25/RAND/mean";
-            hex = Printf.sprintf "%h" 4066.23;
-          };
-          {
-            Golden.key = "fig8/cap25/PROB/mean";
-            hex = Printf.sprintf "%h" 4117.9;
-          };
-        ]
-      in
-      match Golden.check_artifact ~filename:path drifted with
-      | Check.Pass _ -> Alcotest.fail "drifted rounding must fail"
-      | Check.Fail _ -> ())
+  let schema4 =
+    "{\"schema_version\": 4, \"sweep\": {\"wall_s\": 1.2, \"wall_s_reps\": \
+     [1.3, 1.2], \"policies\": [{\"name\": \"RAND\", \"mean\": 4066.2200, \
+     \"stddev\": 1.0}, {\"name\": \"PROB\", \"mean\": 4117.9000, \"stddev\": \
+     2.0}]}, \"obs\": {\"per_policy\": {\"RAND\": {}}}, \"robustness\": \
+     {\"grid\": [{\"fault\": \"clean\", \"policies\": [{\"name\": \"HEEB\", \
+     \"mean\": 1.0, \"degradation\": 1.0}]}]}}"
+  in
+  List.iter
+    (fun artifact ->
+      let path = write artifact in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+        (fun () ->
+          (match Golden.check_artifact ~filename:path digests with
+          | Check.Pass { cases; _ } -> Helpers.check_int "both policies" 2 cases
+          | Check.Fail { detail; _ } -> Alcotest.fail detail);
+          (* A drifted mean must be flagged. *)
+          let drifted =
+            [
+              {
+                Golden.key = "fig8/cap25/RAND/mean";
+                hex = Printf.sprintf "%h" 4066.23;
+              };
+              {
+                Golden.key = "fig8/cap25/PROB/mean";
+                hex = Printf.sprintf "%h" 4117.9;
+              };
+            ]
+          in
+          match Golden.check_artifact ~filename:path drifted with
+          | Check.Pass _ -> Alcotest.fail "drifted rounding must fail"
+          | Check.Fail _ -> ()))
+    [ schema3; schema4 ]
 
 let test_compare_digests () =
   let d key hex = { Golden.key; hex } in

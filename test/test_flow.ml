@@ -66,7 +66,7 @@ let test_prefers_cheap_path () =
   check_int "expensive unused" 0 (Mcmf.flow_on g expensive)
 
 let test_negative_costs () =
-  (* Negative arcs (benefits) must be handled by the Bellman–Ford
+  (* Negative arcs (benefits) must be handled by the topological-pass
      potentials. *)
   let g = Mcmf.create 4 in
   let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:0.0 in
@@ -96,6 +96,18 @@ let test_insufficient_capacity () =
   let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:3 ~cost:1.0 in
   let r = Mcmf.solve g ~source:0 ~sink:1 ~target:10 in
   check_int "partial flow" 3 r.Mcmf.flow
+
+(* The solver's initial potentials need a DAG: a positive-capacity
+   cycle (here 1 -> 2 -> 1) must be rejected, not solved wrongly. *)
+let test_cyclic_rejected () =
+  let g = Mcmf.create 4 in
+  let _ = Mcmf.add_arc g ~src:0 ~dst:1 ~cap:1 ~cost:1.0 in
+  let _ = Mcmf.add_arc g ~src:1 ~dst:2 ~cap:1 ~cost:(-3.0) in
+  let _ = Mcmf.add_arc g ~src:2 ~dst:1 ~cap:1 ~cost:1.0 in
+  let _ = Mcmf.add_arc g ~src:2 ~dst:3 ~cap:1 ~cost:1.0 in
+  match Mcmf.solve g ~source:0 ~sink:3 ~target:1 with
+  | _ -> Alcotest.fail "a cyclic graph must raise Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 let test_min_cost_max_flow_stops_at_zero () =
   let g = Mcmf.create 3 in
@@ -197,4 +209,5 @@ let suite =
       test_min_cost_max_flow_stops_at_zero;
     prop_matches_oracle;
     prop_flow_conservation;
+    Alcotest.test_case "cyclic graph is rejected" `Quick test_cyclic_rejected;
   ]

@@ -347,8 +347,8 @@ let test_allocation_per_step () =
         (words_per_step ~trace ~capacity:25 make)
         (if name = "HEEB" then 48.0 else 0.0))
     (Ssj_workload.Factory.trend_policies cfg ~seed:1 ());
-  (* FlowExpect allocates per decide: the plan list, the law tables, the
-     graph build, the boxed heap priorities.  The bound sits above that
+  (* FlowExpect allocates per decide: the plan list, the conditional laws,
+     the graph build, the boxed heap priorities.  The bound sits above that
      and well below what a generic float [min]/[max] on the solver's
      per-arc or per-node work adds (about 37,000 words per decide). *)
   let cfg = Ssj_workload.Config.floor () in
